@@ -10,12 +10,12 @@ install:
 test:
 	$(PY) -m pytest tests/
 
-# Static gates: AST hot-loop + dispatch check, then a lint smoke over
-# every builder the collective registry knows (the list is generated,
-# not hand-maintained); ruff and mypy run when installed, else are
-# skipped loudly — CI installs both, so nothing is skipped there.
+# Static gates: a lint smoke over every builder the collective
+# registry knows (the list is generated, not hand-maintained); ruff and
+# mypy run when installed, else are skipped loudly — CI installs both,
+# so nothing is skipped there.  The hot-loop gate (REPRO001) runs with
+# every other codebase checker under `make check`.
 lint:
-	$(PY) tools/lint_hot_loops.py
 	@for b in $$(PYTHONPATH=src $(PY) -m repro.cli builders --names); do \
 		echo "== lint --builder $$b"; \
 		PYTHONPATH=src $(PY) -m repro.cli lint --builder $$b || exit 1; \
@@ -28,7 +28,7 @@ lint:
 		cmp /tmp/repro_opt_out.json $$f || exit 1; \
 	done
 	@if $(PY) -m ruff --version >/dev/null 2>&1; then \
-		$(PY) -m ruff check src tests tools || exit 1; \
+		$(PY) -m ruff check src tests || exit 1; \
 	else \
 		echo "SKIP: ruff not installed (CI runs it)"; \
 	fi
@@ -38,7 +38,7 @@ lint:
 		echo "SKIP: mypy not installed (CI runs it)"; \
 	fi
 
-# Codebase checkers (REPRO001-REPRO008) over the whole package; fails
+# Codebase checkers (REPRO001, REPRO003-REPRO008) over the whole package; fails
 # on any warning.  Skips loudly when the package sources are absent
 # (e.g. a docs-only checkout) — CI always runs it for real.
 check:

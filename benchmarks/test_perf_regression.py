@@ -8,6 +8,10 @@ numpy validator must beat the scalar engine by at least 5x with the
 identical (empty) violation list; PR-2 — the columnar all-to-all builder
 must beat the per-``SendOp`` object builder by at least 5x while
 producing the identical send list.
+
+Every comparison against the pure-Python side times the scalar oracles
+the twin suites use (``tests/oracles``); the library itself has only
+the columnar path.
 """
 
 import sys
@@ -15,7 +19,9 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
 
 from repro.bench import bench_all_to_all, bench_broadcast, time_call  # noqa: E402
 from repro.core.all_to_all import all_to_all_schedule  # noqa: E402
@@ -23,15 +29,16 @@ from repro.params import postal  # noqa: E402
 from repro.sim.validate import violations  # noqa: E402
 from repro.sim.validate_np import violations_np  # noqa: E402
 
+from tests.oracles import builders as oracle_builders  # noqa: E402
+from tests.oracles.validate import violations as scalar_violations  # noqa: E402
+
 pytestmark = pytest.mark.perf
 
 
 def test_validate_np_speedup_on_p256_all_to_all():
     schedule = all_to_all_schedule(postal(P=256, L=4))
     assert len(schedule.sends) == 256 * 255 == 65_280
-    scalar_s, scalar_v = time_call(
-        lambda: violations(schedule, force_scalar=True), repeat=3
-    )
+    scalar_s, scalar_v = time_call(lambda: scalar_violations(schedule), repeat=3)
     np_s, np_v = time_call(lambda: violations_np(schedule), repeat=3)
     assert scalar_v == np_v == []
     speedup = scalar_s / np_s
@@ -41,9 +48,9 @@ def test_validate_np_speedup_on_p256_all_to_all():
     )
 
 
-def test_dispatched_violations_uses_fast_path_at_scale():
-    # the public entry point must route large schedules to numpy: it may
-    # not be more than marginally slower than calling violations_np directly
+def test_public_violations_runs_at_numpy_speed():
+    # the public entry point runs the numpy engine: it may not be more
+    # than marginally slower than calling violations_np directly
     schedule = all_to_all_schedule(postal(P=128, L=4))
     auto_s, _ = time_call(lambda: violations(schedule), repeat=3)
     np_s, _ = time_call(lambda: violations_np(schedule), repeat=3)
@@ -66,7 +73,7 @@ def test_columnar_build_speedup_on_p512_all_to_all():
     params = postal(P=512, L=4)
     fast_s, fast = time_call(lambda: all_to_all_schedule(params), repeat=3)
     obj_s, oracle = time_call(
-        lambda: all_to_all_schedule(params, backend="objects"), repeat=3
+        lambda: oracle_builders.all_to_all_schedule(params), repeat=3
     )
     assert fast.num_sends == oracle.num_sends == 512 * 511
     speedup = obj_s / fast_s
@@ -79,10 +86,15 @@ def test_columnar_build_speedup_on_p512_all_to_all():
 
 def test_columnar_storage_is_denser_than_objects():
     # four int64 columns = 32 bytes/send; the object path pays a list
-    # slot plus a SendOp instance per send (several times that)
+    # slot plus a SendOp instance per send (several times that; a
+    # shallow sys.getsizeof estimate, shared item payloads excluded)
     row = bench_all_to_all(64, repeat=1)
+    sends = oracle_builders.all_to_all_schedule(postal(P=64, L=4)).sends
+    object_bytes_per_send = (
+        sys.getsizeof(sends) / len(sends) + sys.getsizeof(sends[0])
+    )
     assert row["columnar_bytes_per_send"] <= 40
-    assert row["object_bytes_per_send"] > 2 * row["columnar_bytes_per_send"]
+    assert object_bytes_per_send > 2 * row["columnar_bytes_per_send"]
 
 
 def test_array_backed_validation_consumes_cached_columns():
@@ -99,7 +111,12 @@ def test_bench_scenarios_produce_legal_schedules():
     row = bench_all_to_all(64, repeat=1)
     assert row["sends"] == 64 * 63
     assert row["simulate_sends"] == 64 * 63
-    assert row["validate_speedup"] > 1.0
+    schedule = all_to_all_schedule(postal(P=64, L=4))
+    scalar_s, scalar_v = time_call(lambda: scalar_violations(schedule))
+    np_s, _ = time_call(lambda: violations_np(schedule))
+    assert scalar_v == []
+    validate_speedup = scalar_s / np_s if np_s > 0 else float("inf")
+    assert validate_speedup > 1.0
 
 
 def test_lint_sweep_under_one_second_on_p1024_all_to_all():
@@ -123,13 +140,26 @@ def test_transform_pipeline_speedup_on_p512_all_to_all():
     at least 10x on the P=512 all-to-all without ever materializing a
     SendOp list."""
     from repro.bench import bench_transforms
+    from repro.passes import parse_pipeline
+
+    from tests.oracles.transform import run_objects
 
     row = bench_transforms(P=512, repeat=1)
     assert row["materialized_sendops"] == 0
-    assert row["transform_speedup"] >= 10.0, (
-        f"pass pipeline only {row['transform_speedup']:.1f}x faster than "
-        f"objects oracle ({row['transform_objects_s']:.3f}s vs "
-        f"{row['transform_np_s']:.3f}s); acceptance floor is 10x"
+    schedule = all_to_all_schedule(postal(P=512, L=4))
+
+    def run_oracles():
+        current = schedule
+        for p in parse_pipeline(row["pipeline"]):
+            current = run_objects(p, current)
+        return current
+
+    objects_s, _ = time_call(run_oracles)
+    speedup = objects_s / row["transform_np_s"]
+    assert speedup >= 10.0, (
+        f"pass pipeline only {speedup:.1f}x faster than objects oracle "
+        f"({objects_s:.3f}s vs {row['transform_np_s']:.3f}s); acceptance "
+        f"floor is 10x"
     )
 
 
@@ -228,7 +258,7 @@ def test_exec_lowers_and_runs_p256_broadcast_in_bounded_time():
     from repro.params import LogPParams
 
     params = LogPParams(P=256, L=4, o=1, g=2)
-    schedule = registry.plan("broadcast", params, backend="columnar")
+    schedule = registry.plan("broadcast", params)
     assert schedule.is_array_backed
     lower_s, plan = time_call(lambda: lower_schedule(schedule), repeat=3)
     assert schedule.is_array_backed  # lowering never touched .sends

@@ -24,9 +24,9 @@ Command line::
     python -m repro.cli lint --builder bcast --P 8 --L 6 --o 2 --g 4
 
 Codebase-tier gates (mypy ``--strict`` scoping, ruff, and the
-``tools/lint_hot_loops.py`` AST checker that bans Python-level loops
-over ``.sends`` in hot modules) live in ``pyproject.toml`` and CI; this
-package is the schedule tier.
+``repro check`` REPRO001 AST checker that bans Python-level loops over
+``.sends`` in hot modules) live in ``pyproject.toml``,
+:mod:`repro.checkers` and CI; this package is the schedule tier.
 """
 
 from repro.analyze.chunked import (

@@ -1,9 +1,8 @@
-"""Performance benchmark harness (PR-4: registry + dispatch trajectory).
+"""Performance benchmark harness.
 
-Times the three phases of the pipeline — *build* a schedule (columnar
-struct-of-arrays backend vs the object-path oracle, both resolved
-through :func:`repro.registry.plan` with a pinned ``backend=``), *validate*
-it (scalar vs vectorized engines, consuming the schedule's cached
+Times the three phases of the pipeline — *build* a schedule (the
+columnar builders, resolved through :func:`repro.registry.plan`),
+*validate* it (the vectorized engine, consuming the schedule's cached
 columns), and *simulate* it on the event-driven
 :class:`~repro.sim.machine.Machine` — at processor counts well beyond
 the paper's figures (``P`` in {256, 1024, 4096}) and on the
@@ -12,10 +11,11 @@ motivated the numpy fast paths.  The k-item all-to-all workload is a
 bench-only stressor with no registered collective, so it calls its
 builder directly.
 
-Each quadratic-workload row also records the storage footprint of both
-backends as *bytes per send*: exact for the four ``int64`` columns,
-a shallow ``sys.getsizeof`` estimate (list slot + ``SendOp`` instance;
-shared item payloads excluded) for the object path.
+Each quadratic-workload row also records the columnar storage
+footprint as *bytes per send* (exact for the four ``int64`` columns).
+The comparisons against the pure-Python oracles (validator, builders,
+passes, object storage) live in the perf gates of
+``benchmarks/test_perf_regression.py``, next to the oracles they import.
 
 PR 7 adds the ``serve`` scenario: a Zipf load generator over the plan
 service (:mod:`repro.serve`) measuring cold vs hot plans/sec and the
@@ -51,7 +51,6 @@ from repro.params import LogPParams, postal
 from repro.schedule.ops import Schedule
 from repro.sim.machine import Context, Machine
 from repro.sim.validate import violations
-from repro.sim.validate_np import violations_np
 
 __all__ = [
     "time_call",
@@ -129,49 +128,21 @@ class _AllToAll:
         pass
 
 
-def _validate_timings(
-    schedule: Schedule, repeat: int, scalar_limit: int
-) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    np_s, np_result = time_call(lambda: violations_np(schedule), repeat)
-    assert np_result == [], "benchmark schedule must be legal"
-    out["validate_np_s"] = np_s
-    if schedule.num_sends <= scalar_limit:
-        scalar_s, scalar_result = time_call(
-            lambda: violations(schedule, force_scalar=True), repeat
-        )
-        assert scalar_result == []
-        out["validate_scalar_s"] = scalar_s
-        out["validate_speedup"] = scalar_s / np_s if np_s > 0 else float("inf")
-    return out
+def _validate_timings(schedule: Schedule, repeat: int) -> dict[str, Any]:
+    validate_s, problems = time_call(lambda: violations(schedule), repeat)
+    assert problems == [], "benchmark schedule must be legal"
+    return {"validate_np_s": validate_s}
 
 
 def _build_timings(
-    columnar_build: Callable[[], Schedule],
-    objects_build: Callable[[], Schedule],
-    repeat: int,
+    build: Callable[[], Schedule], repeat: int
 ) -> tuple[dict[str, Any], Schedule]:
-    """Time both storage backends of a builder; returns the columnar result.
-
-    The row gains ``build_s`` (columnar, the default pipeline),
-    ``build_objects_s`` (per-``SendOp`` oracle path), the
-    ``build_speedup`` ratio, and the bytes-per-send footprint of each
-    storage mode.
-    """
-    build_s, schedule = time_call(columnar_build, repeat)
-    objects_s, objects_schedule = time_call(objects_build, repeat)
+    """Time a columnar builder; returns ``build_s`` (+ bytes per send)."""
+    build_s, schedule = time_call(build, repeat)
     n = schedule.num_sends
-    row: dict[str, Any] = {
-        "build_s": build_s,
-        "build_objects_s": objects_s,
-        "build_speedup": objects_s / build_s if build_s > 0 else float("inf"),
-    }
+    row: dict[str, Any] = {"build_s": build_s}
     if n:
         row["columnar_bytes_per_send"] = schedule.columns().nbytes / n
-        sends = objects_schedule.sends
-        row["object_bytes_per_send"] = (
-            sys.getsizeof(sends) / n + sys.getsizeof(sends[0])
-        )
     return row, schedule
 
 
@@ -181,9 +152,7 @@ def bench_broadcast(
     """Build/validate/simulate an optimal single-item broadcast at ``P``."""
     params = LogPParams(P=P, L=L, o=o, g=g)
     build_row, schedule = _build_timings(
-        lambda: registry.plan("broadcast", params, backend="columnar"),
-        lambda: registry.plan("broadcast", params, backend="objects"),
-        repeat,
+        lambda: registry.plan("broadcast", params), repeat
     )
     row: dict[str, Any] = {
         "workload": "broadcast",
@@ -207,18 +176,12 @@ def bench_broadcast(
 
 
 def bench_all_to_all(
-    P: int,
-    L: int = 4,
-    repeat: int = 1,
-    scalar_limit: int = 100_000,
-    simulate_limit: int = 70_000,
+    P: int, L: int = 4, repeat: int = 1, simulate_limit: int = 70_000
 ) -> dict[str, Any]:
     """Build/validate/simulate the P-way all-to-all broadcast (P(P-1) sends)."""
     params = postal(P=P, L=L)
     build_row, schedule = _build_timings(
-        lambda: registry.plan("all-to-all", params, backend="columnar"),
-        lambda: registry.plan("all-to-all", params, backend="objects"),
-        repeat,
+        lambda: registry.plan("all-to-all", params), repeat
     )
     row: dict[str, Any] = {
         "workload": "all-to-all",
@@ -227,7 +190,7 @@ def bench_all_to_all(
         "sends": schedule.num_sends,
         **build_row,
     }
-    row.update(_validate_timings(schedule, repeat, scalar_limit))
+    row.update(_validate_timings(schedule, repeat))
     if schedule.num_sends <= simulate_limit:
 
         def simulate() -> Schedule:
@@ -246,14 +209,12 @@ def bench_all_to_all(
 
 
 def bench_kitem_all_to_all(
-    P: int, k: int, L: int = 4, repeat: int = 1, scalar_limit: int = 100_000
+    P: int, k: int, L: int = 4, repeat: int = 1
 ) -> dict[str, Any]:
     """Build/validate the k-item all-to-all workload (k * P(P-1) sends)."""
     params = postal(P=P, L=L)
     build_row, schedule = _build_timings(
-        lambda: k_item_all_to_all_schedule(params, k),
-        lambda: k_item_all_to_all_schedule(params, k, backend="objects"),
-        repeat,
+        lambda: k_item_all_to_all_schedule(params, k), repeat
     )
     row: dict[str, Any] = {
         "workload": "k-item-all-to-all",
@@ -263,7 +224,7 @@ def bench_kitem_all_to_all(
         "sends": schedule.num_sends,
         **build_row,
     }
-    row.update(_validate_timings(schedule, repeat, scalar_limit))
+    row.update(_validate_timings(schedule, repeat))
     return row
 
 
@@ -275,39 +236,28 @@ def bench_transforms(
 ) -> dict[str, Any]:
     """Transform throughput: a pass pipeline over the P-way all-to-all.
 
-    Times the PR-5 pass framework on both dispatch backends — the
-    vectorized columnar kernels against the per-``SendOp`` objects
-    oracle — plus the verified variant (``verify=errors`` re-lints
-    SCHED001-003 between passes).  The kernel run also asserts the
-    headline property: every intermediate schedule stays array-backed,
-    i.e. zero ``SendOp`` objects are materialized end to end.
+    Times the pass pipeline on the vectorized columnar kernels, plus
+    the verified variant (``verify=errors`` re-lints SCHED001-003
+    between passes).  The kernel run also asserts the headline
+    property: every intermediate schedule stays array-backed, i.e. zero
+    ``SendOp`` objects are materialized end to end.
     """
     from repro.passes import PassManager, parse_pipeline
 
     params = postal(P=P, L=L)
-    schedule = registry.plan("all-to-all", params, backend="columnar")
+    schedule = registry.plan("all-to-all", params)
 
     def run_numpy() -> Schedule:
         current = schedule
         for p in parse_pipeline(pipeline):
-            p.backend = "numpy"
             current = p.run(current)
             assert current.is_array_backed, f"pass {p.name} materialized SendOps"
         return current
 
     np_s, np_result = time_call(run_numpy, repeat)
     assert schedule.is_array_backed, "pipeline materialized the input schedule"
-    objects_s, _ = time_call(
-        lambda: PassManager(pipeline, verify="off", backend="objects").run(
-            schedule
-        ),
-        repeat,
-    )
     verify_s, _ = time_call(
-        lambda: PassManager(pipeline, verify="errors", backend="numpy").run(
-            schedule
-        ),
-        repeat,
+        lambda: PassManager(pipeline, verify="errors").run(schedule), repeat
     )
     return {
         "workload": "transform-pipeline",
@@ -316,8 +266,6 @@ def bench_transforms(
         "sends": schedule.num_sends,
         "pipeline": pipeline,
         "transform_np_s": np_s,
-        "transform_objects_s": objects_s,
-        "transform_speedup": objects_s / np_s if np_s > 0 else float("inf"),
         "verify_each_s": verify_s,
         "materialized_sendops": 0 if np_result.is_array_backed else 1,
     }
@@ -502,7 +450,7 @@ def bench_exec(
     from repro.exec import available_transports, execute, lower_schedule
 
     params = LogPParams(P=P, L=L, o=o, g=g)
-    schedule = registry.plan("broadcast", params, backend="columnar")
+    schedule = registry.plan("broadcast", params)
     lower_s, plan = time_call(lambda: lower_schedule(schedule), repeat)
     row: dict[str, Any] = {
         "workload": "exec",
@@ -545,7 +493,7 @@ def bench_hier(
     machine = default_hier_machine(params)
 
     flat_build_s, flat = time_call(
-        lambda: registry.plan("broadcast", params, backend="columnar"), repeat
+        lambda: registry.plan("broadcast", params), repeat
     )
     flat_lint_s, flat_report = time_call(lambda: lint_schedule(flat), repeat)
     assert flat_report.max_severity is None
@@ -650,11 +598,9 @@ def run_bench(
         scenarios.append(row)
         if verbose:
             keys = [
-                k for k in ("build_s", "build_objects_s", "build_speedup",
-                            "validate_s", "validate_scalar_s",
+                k for k in ("build_s", "validate_s",
                             "validate_np_s", "simulate_machine_s",
-                            "transform_np_s", "transform_objects_s",
-                            "transform_speedup", "verify_each_s", "lint_s",
+                            "transform_np_s", "verify_each_s", "lint_s",
                             "cold_plans_per_s", "hot_plans_per_s",
                             "hot_hit_rate", "hot_speedup",
                             "lower_s", "exec_inproc_s", "exec_mp_s",

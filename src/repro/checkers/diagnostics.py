@@ -10,9 +10,8 @@ ERROR/WARNING semantics are one implementation across both tiers.
 Severity semantics for code checks:
 
 * ``ERROR`` — the convention is load-bearing for correctness or the
-  perf architecture (a hot-module send loop, a threshold comparison
-  outside :mod:`repro.dispatch`, non-canonical bytes in a keyed path,
-  a lock-guarded attribute mutated without the lock).
+  perf architecture (a hot-module send loop, non-canonical bytes in a
+  keyed path, a lock-guarded attribute mutated without the lock).
 * ``WARNING`` — the convention guards against slow rot (unbounded
   caches, opaque exceptions).  ``repro check`` defaults to
   ``--fail-on warning``: a clean tree stays clean.

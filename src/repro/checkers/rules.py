@@ -1,4 +1,4 @@
-"""The codebase checkers (REPRO001-REPRO008).
+"""The codebase checkers (REPRO001, REPRO003-REPRO008).
 
 Each rule is a pure function from :class:`~repro.checkers.context.FileContext`
 to a list of :class:`~repro.checkers.registry.Finding` records, registered
@@ -12,8 +12,6 @@ Rule catalogue (profiles in :mod:`repro.checkers.profiles`):
 id         severity targets       checks
 ========== ======== ============= ==========================================
 REPRO001   error    hot           Python loop / SendOp materializer over sends
-REPRO002   error    all but       ``FAST_PATH_THRESHOLD`` comparison outside
-                    dispatch      :mod:`repro.dispatch`
 REPRO003   warning  everywhere    unbounded ``lru_cache`` / module-level
                                   mutable cache
 REPRO004   error    everywhere    lock-guarded attribute mutated outside a
@@ -25,9 +23,8 @@ REPRO007   error    everywhere    registered pass missing invariant
 REPRO008   warning  cli           ``raise`` without a message
 ========== ======== ============= ==========================================
 
-REPRO001 and REPRO002 are the ported ``tools/lint_hot_loops.py`` gates;
-their message strings are kept byte-identical so the shim's output (and
-the muscle memory of everyone reading CI logs) survives the port.
+REPRO002 (dispatch-threshold ownership) is retired with the
+objects-vs-numpy dispatch it policed; its id is not reused.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from typing import Iterator
 
 from repro.checkers.context import FileContext
 from repro.checkers.diagnostics import Severity
-from repro.checkers.profiles import BANNED_CALLS, THRESHOLD_NAME
+from repro.checkers.profiles import BANNED_CALLS
 from repro.checkers.registry import Finding, register_checker
 
 __all__ = ["CACHE_NAME_RE", "NONDETERMINISTIC_CALLS", "RAISE_ALLOWLIST"]
@@ -98,47 +95,6 @@ def check_hot_loops(ctx: FileContext) -> list[Finding]:
                 findings.append(
                     Finding(line=node.lineno, message=_LOOP_MESSAGE)
                 )
-    return findings
-
-
-# -- REPRO002: dispatch-threshold ownership ------------------------------
-
-
-def _mentions_threshold(node: ast.expr) -> bool:
-    """True if any sub-expression references the threshold knob."""
-    for sub in _walk(node):
-        if isinstance(sub, ast.Name) and sub.id == THRESHOLD_NAME:
-            return True
-        if isinstance(sub, ast.Attribute) and sub.attr == THRESHOLD_NAME:
-            return True
-    return False
-
-
-@register_checker(
-    id="REPRO002",
-    name="dispatch-threshold-ownership",
-    category="architecture",
-    severity=Severity.ERROR,
-    summary="objects-vs-numpy routing decisions live only in repro.dispatch",
-    profiles=("-dispatch-owner",),
-)
-def check_dispatch_ownership(ctx: FileContext) -> list[Finding]:
-    findings: list[Finding] = []
-    for node in _walk(ctx.tree):
-        if isinstance(node, ast.Compare) and any(
-            _mentions_threshold(expr)
-            for expr in [node.left, *node.comparators]
-        ):
-            findings.append(
-                Finding(
-                    line=node.lineno,
-                    message=(
-                        f"comparison against {THRESHOLD_NAME} outside "
-                        "repro.dispatch "
-                        "(call repro.dispatch.use_numpy() instead)"
-                    ),
-                )
-            )
     return findings
 
 

@@ -51,26 +51,31 @@ def max_informed_dp(t: int, L: int) -> int:
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
 
-    # Bounded since PR 7 so a pathological (t, L) cannot pin unbounded
-    # memory for the call's duration: full-history states are visited
-    # once each, so eviction costs recomputation, never correctness, and
-    # the bench's certified range (t <= 30) stays far below the cap.
+    # The future of a prefix depends only on how many processors hold
+    # the item now and on the sends still in flight (issued in the last
+    # L - 1 steps), so that is the whole state: distinct histories that
+    # agree on it share one entry.  Bounded so a pathological (t, L)
+    # cannot pin unbounded memory for the call's duration; eviction
+    # costs recomputation, never correctness.
     @lru_cache(maxsize=1 << 16)
-    def best(step: int, history: tuple[int, ...]) -> int:
-        # history[i] = sends issued at step i; informed at `step` counts
-        # the source plus every arrival at steps <= step
-        informed_now = 1 + sum(history[i] for i in range(len(history)) if i + L <= step)
+    def best(step: int, informed: int, inflight: tuple[int, ...]) -> int:
+        # inflight[j] = sends issued at step - (L - 1) + j, still in transit
         if step > t - L:
             # no further useful sends; final informed count at time t
-            return 1 + sum(history)
+            return informed + sum(inflight)
         best_value = 0
-        for x in range(informed_now + 1):
-            best_value = max(best_value, best(step + 1, history + (x,)))
+        for x in range(informed + 1):
+            # the oldest in-flight batch (or x itself when L == 1) lands
+            # at step + 1
+            window = (*inflight, x)
+            best_value = max(
+                best_value, best(step + 1, informed + window[0], window[1:])
+            )
         return best_value
 
     if t < L:
         return 1
-    return best(0, ())
+    return best(0, 1, (0,) * (L - 1))
 
 
 def broadcast_time_certified(P: int, L: int, t_max: int = 30) -> int:

@@ -6,7 +6,7 @@ MLIR/xdsl-shaped framework:
 - :mod:`repro.passes.base` — the :class:`SchedulePass` contract, declared
   invariants, and the pass registry (``register_pass`` / ``make_pass``).
 - :mod:`repro.passes.kernels` — vectorized columnar kernels (no SendOp
-  materialization; the AST gate enforces it).
+  materialization; ``repro check`` REPRO001 enforces it).
 - :mod:`repro.passes.library` — the built-in passes: the five ported
   transforms (shift/remap/reverse/concat/restrict) plus the three
   normalizers (canonicalize / prune-dead-sends / compact-time).

@@ -24,11 +24,10 @@ when verification is on):
     the critical path (``concat``, ``restrict``, ``prune-dead-sends``,
     ``compact-time``) declare ``False``.
 
-Backends: every pass dispatches between a vectorized columnar kernel
-(:mod:`repro.passes.kernels`) and the pure-Python objects oracle kept in
-:mod:`repro.schedule.transform`.  The decision is owned by
-:mod:`repro.dispatch`; ``backend=`` on the pass constructor overrides it
-per instance.
+Every pass runs one vectorized columnar kernel
+(:mod:`repro.passes.kernels`, or :mod:`repro.machine.heal` for
+``heal``); the pure-Python oracles the kernels are property-tested
+against live with the test oracles.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, TypeVar
 
-from repro import dispatch as _dispatch
 from repro.schedule.ops import Schedule
 
 if TYPE_CHECKING:  # implicit IR is optional at runtime for this module
@@ -76,8 +74,7 @@ class SchedulePass:
     #: Output makespan (completion minus start time) equals the input's.
     preserves_completion: ClassVar[bool] = True
 
-    def __init__(self, backend: str | None = None):
-        self.backend = backend
+    def __init__(self) -> None:
         self.stats: dict[str, Any] = {}
 
     def params(self) -> dict[str, Any]:
@@ -91,14 +88,6 @@ class SchedulePass:
             return self.name
         inner = ",".join(f"{key}={value}" for key, value in params.items())
         return f"{self.name}{{{inner}}}"
-
-    def _use_numpy(self, schedule: Schedule) -> bool:
-        """Ask the dispatch policy whether to run the columnar kernel."""
-        if schedule.machine is not None and not schedule.machine.is_flat:
-            # the objects oracles price every send with the flat params;
-            # machine schedules must take the per-edge columnar kernels
-            return True
-        return _dispatch.use_numpy(schedule.num_sends, override=self.backend)
 
     def run(self, schedule: Schedule) -> Schedule:
         """Apply the pass; returns a new schedule, never mutates input."""
@@ -120,8 +109,7 @@ class SchedulePass:
         )
 
     def __repr__(self) -> str:
-        backend = f", backend={self.backend!r}" if self.backend else ""
-        return f"<{type(self).__name__} {self.describe()}{backend}>"
+        return f"<{type(self).__name__} {self.describe()}>"
 
 
 def refuse_implicit(

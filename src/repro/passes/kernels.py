@@ -6,10 +6,9 @@ array-backed :class:`~repro.schedule.ops.Schedule` via
 :meth:`Schedule.from_arrays` — no ``SendOp`` object is ever constructed,
 so a pipeline over the P=1024 all-to-all (~1M sends) stays in numpy end
 to end.  The pure-Python oracles with identical observable behaviour
-(byte-identical serialized JSON, property-tested) live in
-:mod:`repro.schedule.transform`; the AST gate in
-``tools/lint_hot_loops.py`` keeps per-send Python loops out of this
-package.
+(byte-identical serialized JSON, property-tested) live with the test
+oracles; ``repro check`` (REPRO001) keeps per-send Python loops out of
+this package.
 
 Column arrays are treated as immutable, so kernels share the input's
 arrays and :class:`~repro.schedule.columnar.ItemTable` whenever a column
@@ -42,8 +41,8 @@ __all__ = [
 
 Item = Hashable
 
-#: Shared shift-guard message.  Both backends raise it at transform time
-#: (the objects oracle imports it; ``repro.schedule.implicit`` keeps a
+#: Shared shift-guard message, raised at transform time (the objects
+#: oracle imports it; ``repro.schedule.implicit`` keeps a
 #: textually identical copy, pinned equal by the test suite) so a
 #: negative-time schedule can never silently materialize and only fail
 #: later at lint time.
@@ -134,7 +133,7 @@ def reverse_columns(
     tag: str = "rev",
     initial: dict[int, set[Item]] | None = None,
 ) -> Schedule:
-    """Columnar :func:`repro.schedule.transform.reverse` (default labels).
+    """Columnar :func:`repro.schedule.transform.reverse`.
 
     Items become ``(tag, old_dst)``; ``source_items`` records each new
     item's earliest send time, the tightest creation times consistent

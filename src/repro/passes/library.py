@@ -1,10 +1,10 @@
 """The built-in passes: five ported transforms + three normalizers.
 
-Each pass routes through :mod:`repro.dispatch` between the vectorized
-columnar kernel (:mod:`repro.passes.kernels`) and the pure-Python
-objects oracle (:mod:`repro.schedule.transform`).  The two paths are
-property-tested to produce byte-identical canonical JSON, so the oracle
-is the specification and the kernel is the implementation.
+Each pass runs its vectorized columnar kernel
+(:mod:`repro.passes.kernels`).  The kernels are property-tested to
+produce byte-identical canonical JSON to pure-Python oracles kept with
+the test suite, so the oracle is the specification and the kernel is
+the implementation.
 
 Invariant table (see :class:`repro.passes.base.SchedulePass`):
 
@@ -25,12 +25,12 @@ compact-time       yes                 no
 
 from __future__ import annotations
 
-from typing import Any, Callable, ClassVar, Hashable, Iterable, Mapping
+from typing import Any, ClassVar, Hashable, Iterable, Mapping
 
 from repro.passes import kernels
 from repro.passes.base import SchedulePass, refuse_implicit, register_pass
 from repro.schedule.implicit import ImplicitSchedule
-from repro.schedule.ops import Schedule, SendOp
+from repro.schedule.ops import Schedule
 
 __all__ = [
     "ShiftPass",
@@ -47,14 +47,6 @@ __all__ = [
 Item = Hashable
 
 
-def _oracle() -> Any:
-    # transform.py imports this module at import time (it is a shim over
-    # the passes); resolving the oracle lazily breaks the cycle.
-    from repro.schedule import transform
-
-    return transform
-
-
 @register_pass
 class ShiftPass(SchedulePass):
     """Translate every send and creation time by a constant offset."""
@@ -65,17 +57,15 @@ class ShiftPass(SchedulePass):
     preserves_legality: ClassVar[bool] = True
     preserves_completion: ClassVar[bool] = True
 
-    def __init__(self, offset: int = 0, backend: str | None = None):
-        super().__init__(backend=backend)
+    def __init__(self, offset: int = 0):
+        super().__init__()
         self.offset = int(offset)
 
     def params(self) -> dict[str, Any]:
         return {"offset": self.offset}
 
     def run(self, schedule: Schedule) -> Schedule:
-        if self._use_numpy(schedule):
-            return kernels.shift_columns(schedule, self.offset)
-        return _oracle().shift_objects(schedule, self.offset)
+        return kernels.shift_columns(schedule, self.offset)
 
     def run_implicit(self, schedule: ImplicitSchedule) -> ImplicitSchedule:
         return schedule.shifted(self.offset)
@@ -99,9 +89,8 @@ class RemapPass(SchedulePass):
         self,
         mapping: Mapping[int, int] | None = None,
         perm: str | None = None,
-        backend: str | None = None,
     ):
-        super().__init__(backend=backend)
+        super().__init__()
         if (mapping is None) == (perm is None):
             raise ValueError("remap needs exactly one of mapping= or perm=")
         if perm is not None and perm != "reverse":
@@ -123,10 +112,7 @@ class RemapPass(SchedulePass):
         return {p: top - p for p in range(schedule.params.P)}
 
     def run(self, schedule: Schedule) -> Schedule:
-        mapping = self._mapping_for(schedule)
-        if self._use_numpy(schedule):
-            return kernels.remap_columns(schedule, mapping)
-        return _oracle().remap_objects(schedule, mapping)
+        return kernels.remap_columns(schedule, self._mapping_for(schedule))
 
     def run_implicit(self, schedule: ImplicitSchedule) -> ImplicitSchedule:
         return schedule.remapped(self._mapping_for(schedule))
@@ -139,9 +125,7 @@ class ReversePass(SchedulePass):
     Sends swap direction and run backwards from the completion time;
     items are relabelled ``(tag, original_dst)``.  ``initial`` overrides
     the default "every sender starts holding its item" placement (the
-    reduction rewiring passes all-processors initial ownership);
-    ``item_of`` customizes labelling and forces the objects oracle, as
-    arbitrary Python labelling cannot be vectorized.
+    reduction rewiring passes all-processors initial ownership).
     """
 
     name: ClassVar[str] = "reverse"
@@ -155,13 +139,10 @@ class ReversePass(SchedulePass):
         self,
         tag: str = "rev",
         initial: dict[int, set[Item]] | None = None,
-        item_of: Callable[[SendOp], Item] | None = None,
-        backend: str | None = None,
     ):
-        super().__init__(backend=backend)
+        super().__init__()
         self.tag = tag
         self.initial = initial
-        self.item_of = item_of
 
     def params(self) -> dict[str, Any]:
         if self.tag == "rev":
@@ -169,13 +150,7 @@ class ReversePass(SchedulePass):
         return {"tag": self.tag}
 
     def run(self, schedule: Schedule) -> Schedule:
-        if self.item_of is None and self._use_numpy(schedule):
-            return kernels.reverse_columns(
-                schedule, tag=self.tag, initial=self.initial
-            )
-        return _oracle().reverse_objects(
-            schedule, tag=self.tag, initial=self.initial, item_of=self.item_of
-        )
+        return kernels.reverse_columns(schedule, tag=self.tag, initial=self.initial)
 
 
 @register_pass
@@ -195,14 +170,12 @@ class ConcatPass(SchedulePass):
         "the appended schedule is already materialized columns"
     )
 
-    def __init__(self, second: Schedule, backend: str | None = None):
-        super().__init__(backend=backend)
+    def __init__(self, second: Schedule):
+        super().__init__()
         self.second = second
 
     def run(self, schedule: Schedule) -> Schedule:
-        if self._use_numpy(schedule):
-            return kernels.concat_columns(schedule, self.second)
-        return _oracle().concat_objects(schedule, self.second)
+        return kernels.concat_columns(schedule, self.second)
 
 
 def parse_procs(spec: str) -> set[int]:
@@ -234,19 +207,15 @@ class RestrictPass(SchedulePass):
         "the surviving send set is data-dependent, not a closed form"
     )
 
-    def __init__(
-        self, procs: Iterable[int] | str, backend: str | None = None
-    ):
-        super().__init__(backend=backend)
+    def __init__(self, procs: Iterable[int] | str):
+        super().__init__()
         self.procs = parse_procs(procs) if isinstance(procs, str) else set(procs)
 
     def params(self) -> dict[str, Any]:
         return {"procs": "+".join(str(p) for p in sorted(self.procs))}
 
     def run(self, schedule: Schedule) -> Schedule:
-        if self._use_numpy(schedule):
-            return kernels.restrict_columns(schedule, self.procs)
-        return _oracle().restrict_objects(schedule, self.procs)
+        return kernels.restrict_columns(schedule, self.procs)
 
 
 @register_pass
@@ -274,10 +243,8 @@ class HealPass(SchedulePass):
         "healing replays per-processor availability against the survivor set"
     )
 
-    def __init__(
-        self, procs: Iterable[int] | str | None = None, backend: str | None = None
-    ):
-        super().__init__(backend=backend)
+    def __init__(self, procs: Iterable[int] | str | None = None):
+        super().__init__()
         if procs is None:
             self.procs = None
         else:
@@ -291,9 +258,8 @@ class HealPass(SchedulePass):
         return {"procs": "+".join(str(p) for p in sorted(self.procs))}
 
     def run(self, schedule: Schedule) -> Schedule:
-        # columnar-only: the kernel is vectorized over procs, and the
-        # fixpoint has no objects oracle (legality is re-verified by the
-        # manager / validator instead)
+        # the fixpoint has no objects oracle (legality is re-verified
+        # by the manager / validator instead)
         from repro.machine.heal import heal_columns
 
         result, heal_stats = heal_columns(schedule, procs=self.procs)
@@ -329,10 +295,7 @@ class CanonicalizePass(SchedulePass):
     )
 
     def run(self, schedule: Schedule) -> Schedule:
-        if self._use_numpy(schedule):
-            result, dropped = kernels.canonicalize_columns(schedule)
-        else:
-            result, dropped = _oracle().canonicalize_objects(schedule)
+        result, dropped = kernels.canonicalize_columns(schedule)
         self.stats["dropped_items"] = dropped
         return result
 
@@ -354,10 +317,7 @@ class PruneDeadSendsPass(SchedulePass):
     )
 
     def run(self, schedule: Schedule) -> Schedule:
-        if self._use_numpy(schedule):
-            result, removed = kernels.prune_dead_sends_columns(schedule)
-        else:
-            result, removed = _oracle().prune_dead_sends_objects(schedule)
+        result, removed = kernels.prune_dead_sends_columns(schedule)
         self.stats["removed_sends"] = removed
         return result
 
@@ -379,9 +339,6 @@ class CompactTimePass(SchedulePass):
     )
 
     def run(self, schedule: Schedule) -> Schedule:
-        if self._use_numpy(schedule):
-            result, reclaimed = kernels.compact_time_columns(schedule)
-        else:
-            result, reclaimed = _oracle().compact_time_objects(schedule)
+        result, reclaimed = kernels.compact_time_columns(schedule)
         self.stats["reclaimed_cycles"] = reclaimed
         return result

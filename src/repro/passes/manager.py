@@ -77,9 +77,8 @@ class PassManager:
     pipeline text for :func:`repro.passes.pipeline.parse_pipeline`.
     ``verify`` is ``"errors"`` (default: re-lint SCHED001-003 after each
     pass), ``"all"`` (run every lint rule; reports carry warnings too,
-    but only *introduced* errors fail), or ``"off"``.  ``backend``
-    forces the dispatch override onto every pass that does not already
-    carry one.  After :meth:`run`, :attr:`records` holds one
+    but only *introduced* errors fail), or ``"off"``.  After
+    :meth:`run`, :attr:`records` holds one
     :class:`PassRecord` per executed pass.
     """
 
@@ -87,7 +86,6 @@ class PassManager:
         self,
         passes: list[SchedulePass] | str,
         verify: str = "errors",
-        backend: str | None = None,
     ):
         if verify not in ("errors", "all", "off"):
             raise ValueError(
@@ -95,10 +93,6 @@ class PassManager:
             )
         self.passes = parse_pipeline(passes) if isinstance(passes, str) else list(passes)
         self.verify = verify
-        if backend is not None:
-            for p in self.passes:
-                if p.backend is None:
-                    p.backend = backend
         self.records: list[PassRecord] = []
 
     def _lint(self, schedule: Schedule) -> "LintReport":
@@ -174,7 +168,6 @@ def run_pipeline(
     pipeline: str | list[SchedulePass],
     schedule: Schedule,
     verify: str = "off",
-    backend: str | None = None,
 ) -> Schedule:
     """One-shot convenience: build a manager, run it, return the result."""
-    return PassManager(pipeline, verify=verify, backend=backend).run(schedule)
+    return PassManager(pipeline, verify=verify).run(schedule)

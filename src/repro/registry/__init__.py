@@ -12,9 +12,7 @@ point to build them::
 :func:`plan` resolves the collective by canonical name or alias,
 validates the machine and the collective-specific parameters against the
 spec's declared domain (uniform one-line ``ValueError``\\ s instead of
-builder-specific crashes), picks a storage backend through the
-:mod:`repro.dispatch` policy for builders that support both, and runs
-the builder.
+builder-specific crashes), and runs the builder.
 
 The same records drive the CLI's builder tables, the bench harness, the
 figure scripts and SCHED008's closed-form optimality bounds
@@ -26,7 +24,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro import dispatch as _dispatch
 from repro.params import LogPParams
 from repro.registry.spec import BoundQuery, CollectiveSpec, ParamField
 from repro.registry.specs import SPECS
@@ -107,7 +104,6 @@ def plan(
     name: str,
     params: LogPParams | None = None,
     *,
-    backend: str | None = None,
     storage: str = "materialized",
     cache: Any | None = None,
     execute: str | None = None,
@@ -127,16 +123,13 @@ def plan(
     collectives accept a :class:`~repro.machine.model.FlatMachine`
     (identical semantics, ignored) and reject anything else.
     Collective-specific parameters (``k``, ``n``, ``t``) are validated
-    against the spec's declared domain.  ``backend`` pins the storage
-    backend (``"columnar"``/``"objects"``) for builders that support
-    both; the default follows the :mod:`repro.dispatch` policy.
+    against the spec's declared domain.
 
     ``storage="implicit"`` returns an O(log P)-state
     :class:`~repro.schedule.implicit.ImplicitSchedule` instead of
     materialized columns, for specs with a closed-form builder
     (broadcast and reduction); an optional ``family=`` keyword selects
-    the tree family (``"optimal"``/``"binomial"``).  ``backend`` does
-    not apply — implicit plans have no column storage to pick.
+    the tree family (``"optimal"``/``"binomial"``).
 
     ``cache=`` routes the request through a
     :class:`~repro.serve.PlanService` (the content-addressed plan
@@ -144,9 +137,8 @@ def plan(
     rebuilding.  Cached plans round-trip through serialization, so they
     come back object-stored with redundant time-0 ``source_items``
     normalized away — byte-identical canonical JSON, not identical
-    Python object graphs.  ``backend=`` (a compute hint, deliberately
-    outside the cache key) and ``storage="implicit"`` (an O(log P)
-    build, cheaper than any lookup) are rejected alongside ``cache=``.
+    Python object graphs.  ``storage="implicit"`` (an O(log P) build,
+    cheaper than any lookup) is rejected alongside ``cache=``.
 
     ``execute=`` names a transport (``"inproc"``/``"mp"``/``"mpi"``):
     the built schedule is lowered to per-rank programs, run on that
@@ -179,11 +171,6 @@ def plan(
                 f"{spec.name}: cache= does not apply to storage='implicit' "
                 f"(implicit plans are O(log P) to build; the serve layer "
                 f"caches their materialized form instead)"
-            )
-        if backend is not None:
-            raise ValueError(
-                f"{spec.name}: backend= does not combine with cache= "
-                f"(cache keys are dispatch-independent by design)"
             )
         from repro.schedule.serialize import schedule_from_json
         from repro.serve import canonical_request
@@ -224,11 +211,6 @@ def plan(
                 f"{spec.name}: no implicit builder "
                 f"(storage='implicit' is supported by: {supported})"
             )
-        if backend is not None:
-            raise ValueError(
-                f"{spec.name}: backend= does not apply to implicit "
-                f"storage (implicit plans have no column backend)"
-            )
         family = kwargs.pop("family", None)
         extra = spec.validate_extra(params, kwargs)
         if family is not None:
@@ -238,15 +220,6 @@ def plan(
     if spec.machine_aware:
         # machines travel outside the int-only extra_params validation
         extra["machine"] = machine
-    if len(spec.backends) > 1:
-        extra["backend"] = _dispatch.builder_backend(
-            spec.backends, override=backend
-        )
-    elif backend is not None and backend not in spec.backends:
-        raise ValueError(
-            f"{spec.name}: backend {backend!r} not supported "
-            f"(supported: {', '.join(spec.backends)})"
-        )
     return _maybe_execute(spec.build(params, **extra), execute)
 
 

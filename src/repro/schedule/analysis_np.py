@@ -1,12 +1,11 @@
-"""Vectorized (numpy) schedule analysis for large schedules.
+"""Vectorized (numpy) schedule analysis: the kernels behind every helper.
 
-The pure-Python helpers in :mod:`repro.schedule.analysis` are fine for
-the paper-scale instances; sweeping thousands of processors or long
-continuous windows (hundreds of thousands of sends) wants vectorization.
-These functions return the same values as their scalar counterparts
-(property-tested) but operate on column arrays.  Routing between the
-scalar and vectorized paths is owned by :mod:`repro.dispatch` (one
-:class:`~repro.dispatch.DispatchPolicy` for the whole library).
+:mod:`repro.schedule.analysis` exposes these as its public helpers;
+sweeping thousands of processors or long continuous windows (hundreds
+of thousands of sends) wants vectorization, and the kernels win from a
+few dozen sends up.  They return the same values as the scalar loops
+kept with the test oracles (property-tested) but operate on column
+arrays.
 
 Columns live in :mod:`repro.schedule.columnar` and are cached *on the
 schedule* (:meth:`repro.schedule.ops.Schedule.columns`), so repeated

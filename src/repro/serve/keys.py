@@ -8,11 +8,9 @@ The plan cache (:mod:`repro.serve.cache`) needs two identities:
   validates and normalizes the per-collective extras against the spec's
   declared domain (so ``plan_many`` requests fail with the same one-line
   errors as :func:`repro.registry.plan`), and defaults ``family`` for
-  implicit storage.  Nothing about the dispatch environment
-  (``REPRO_DISPATCH`` / ``REPRO_FAST_PATH_THRESHOLD`` / ``backend=``)
-  enters the key: the serialized plan is byte-identical across storage
-  backends (pinned by the columnar twins since PR 2), so requests that
-  differ only in how they would be *computed* share one cache entry.
+  implicit storage.  Only what was asked for enters the key: the
+  library has one compute path per operation, so there is no
+  environment or per-call knob that could change the planned bytes.
 
 * a **content hash** — sha-256 of the plan's canonical serialized form
   (:func:`plan_content`).  Distinct requests that produce byte-identical
@@ -254,16 +252,12 @@ def build_plan(request: PlanRequest) -> str:
     Calls the spec's builder directly: ``request.extra`` is already
     validated *and normalized* (e.g. summation carries both ``n`` and
     ``t`` after canonicalization, which the registry front door would
-    reject as over-specified).  The storage backend follows the dispatch
-    policy — a compute choice only; the serialized bytes are
-    backend-identical, which is why the policy stays out of the key.
+    reject as over-specified).
 
     Implicit requests are materialized: the service's product is a
     transportable serialized plan, and at equal parameters the
     materialized bytes are what content addressing deduplicates on.
     """
-    from repro import dispatch
-
     spec = registry.get_spec(request.collective)
     extra = dict(request.extra)
     if request.storage == IMPLICIT:
@@ -274,7 +268,5 @@ def build_plan(request: PlanRequest) -> str:
         return plan_content(implicit.materialize())
     if spec.machine_aware:
         extra["machine"] = request.machine
-    if len(spec.backends) > 1:
-        extra["backend"] = dispatch.builder_backend(spec.backends)
     built: Schedule = spec.build(request.params, **extra)
     return plan_content(built)

@@ -1,18 +1,18 @@
 """Vectorized (numpy) LogP legality checking — the validator fast path.
 
-:func:`violations_np` re-implements every check of
-:func:`repro.sim.validate.violations` over struct-of-arrays send tables
+:func:`violations_np` runs every check of the LogP model over
+struct-of-arrays send tables
 (:class:`repro.schedule.analysis_np.ScheduleColumns`) instead of per-op
 Python loops: causality, send gap, receive gap, overhead exclusivity and
 per-endpoint capacity.  It produces the *same violation strings* as the
-scalar path (property-tested for multiset equality), so callers cannot
-tell which engine ran; only violating ops are ever formatted in Python,
-so legal schedules stay entirely in numpy.
+scalar reference walker kept with the test oracles (property-tested for
+multiset equality); only violating ops are ever formatted in Python, so
+legal schedules stay entirely in numpy.
 
-:func:`repro.sim.validate.violations` dispatches here automatically for
-large schedules (the cutoff lives in the :mod:`repro.dispatch` policy);
-at the P=256 all-to-all scale (65,280 sends) the speedup over the scalar
-validator is roughly 7-8x (see ``BENCH_PR1.json``).
+:func:`repro.sim.validate.violations` is the public entry point and
+always runs this engine; at the P=256 all-to-all scale (65,280 sends)
+the speedup over the scalar walker is roughly 7-8x (see
+``BENCH_PR1.json``).
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ import inspect
 MODULES = [
     "repro",
     "repro.params",
-    "repro.dispatch",
     "repro.registry",
     "repro.registry.spec",
     "repro.registry.specs",

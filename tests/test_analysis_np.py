@@ -1,4 +1,4 @@
-"""Tests for the vectorized analysis (agreement with the scalar code)."""
+"""Tests for the vectorized analysis (agreement with the scalar oracles)."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,17 +7,21 @@ from hypothesis import strategies as st
 from repro.core.kitem.single_sending import single_sending_schedule
 from repro.core.single_item import optimal_broadcast_schedule
 from repro.params import LogPParams, postal
-from repro.schedule.analysis import (
-    broadcast_delay_per_proc,
-    completion_time,
-    item_completion_times,
-)
+from repro.schedule import analysis
 from repro.schedule.analysis_np import (
     columns,
     completion_time_np,
     per_item_completion_np,
     per_proc_first_arrival_np,
     send_load_np,
+)
+from repro.schedule.ops import Schedule
+
+from tests.oracles.analysis import (
+    availability,
+    broadcast_delay_per_proc,
+    completion_time,
+    item_completion_times,
 )
 
 
@@ -50,8 +54,6 @@ class TestAgreement:
         assert load[0] == max(load)  # the root sends most
 
     def test_empty_schedule(self):
-        from repro.schedule.ops import Schedule
-
         cols = columns(Schedule(params=postal(P=3, L=2)))
         assert completion_time_np(cols) == 0
 
@@ -65,6 +67,42 @@ class TestAgreement:
         vec = per_proc_first_arrival_np(cols)
         for p in range(1, P):
             assert vec[p] == scalar[p]
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_public_helpers_match_oracles(self, data):
+        # 0- and 1-send schedules included: the sizes the scalar loops
+        # used to serve in production
+        P = data.draw(st.integers(2, 6))
+        params = LogPParams(
+            P=P, L=data.draw(st.integers(1, 5)), o=data.draw(st.integers(0, 1)), g=1
+        )
+        s = Schedule(params=params, initial={0: {0}}, source_items={0: 0})
+        for _ in range(data.draw(st.integers(0, 8))):
+            s.add(
+                time=data.draw(st.integers(0, 12)),
+                src=data.draw(st.integers(0, P - 1)),
+                dst=data.draw(st.integers(0, P - 1)),
+                item=data.draw(st.integers(0, 2)),
+            )
+        assert analysis.availability(s) == availability(s)
+        assert analysis.completion_time(s) == completion_time(s)
+        for item in range(3):
+            assert analysis.broadcast_delay_per_proc(s, item) == (
+                broadcast_delay_per_proc(s, item)
+            )
+        procs = data.draw(st.sets(st.integers(0, P - 1)))
+        try:
+            expected = item_completion_times(s, procs)
+        except ValueError:
+            try:
+                analysis.item_completion_times(s, procs)
+            except ValueError as exc:
+                assert "never reaches processor" in str(exc)
+            else:
+                raise AssertionError("production helper accepted a gap")
+        else:
+            assert analysis.item_completion_times(s, procs) == expected
 
 
 class TestScale:

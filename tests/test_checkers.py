@@ -3,7 +3,7 @@
 The corpus regression lives in ``tests/test_check_corpus.py``; this file
 covers the framework mechanics (registry resolution, profile targeting,
 pragma and suppression parsing, engine errors, SARIF shape) and the two
-acceptance gates: the repository checks clean under all eight rules, and
+acceptance gates: the repository checks clean under every rule, and
 the full sweep stays fast.
 """
 
@@ -29,13 +29,14 @@ from repro.checkers import (
 )
 from repro.cli import main
 
-ALL_RULES = [f"REPRO{i:03d}" for i in range(1, 9)]
+#: the catalogue (REPRO002 is retired; its id is not reused)
+ALL_RULES = [f"REPRO{i:03d}" for i in (1, 3, 4, 5, 6, 7, 8)]
 
 
 # -- registry -------------------------------------------------------------
 
 
-def test_all_eight_rules_are_registered():
+def test_all_rules_are_registered():
     assert checker_ids() == ALL_RULES
 
 
@@ -62,9 +63,9 @@ def test_profile_predicates():
     hot = get_checker("REPRO001")
     assert hot.applies(frozenset({"hot"}))
     assert not hot.applies(frozenset())
-    gate = get_checker("REPRO002")
-    assert gate.applies(frozenset())
-    assert not gate.applies(frozenset({"dispatch-owner"}))
+    keying = get_checker("REPRO005")
+    assert keying.applies(frozenset({"keying", "cli"}))
+    assert not keying.applies(frozenset({"cli"}))
     everywhere = get_checker("REPRO003")
     assert everywhere.applies(frozenset())
     assert all(c.severity in (Severity.ERROR, Severity.WARNING) for c in CHECKERS)
@@ -76,7 +77,6 @@ def test_profile_predicates():
 def test_classify_by_path_suffix():
     assert "hot" in classify("src/repro/schedule/columnar.py")
     assert "hot" in classify("/abs/checkout/src/repro/passes/library.py")
-    assert "dispatch-owner" in classify("src/repro/dispatch.py")
     assert "keying" in classify("src/repro/serve/cache.py")
     assert "cli" in classify("src/repro/cli.py")
     assert "cli" in classify("src/repro/serve/service.py")
@@ -103,11 +103,11 @@ def test_parse_suppressions():
     source = (
         "x = 1\n"
         "y = f()  # repro: ignore[REPRO005]\n"
-        "z = g()  # repro: ignore[REPRO001, REPRO002] -- rationale\n"
+        "z = g()  # repro: ignore[REPRO001, REPRO003] -- rationale\n"
     )
     assert parse_suppressions(source) == {
         2: {"REPRO005"},
-        3: {"REPRO001", "REPRO002"},
+        3: {"REPRO001", "REPRO003"},
     }
 
 
@@ -151,7 +151,7 @@ def test_diagnostics_sorted_by_path_line_rule(tmp_path):
 # -- the repository's own acceptance gates --------------------------------
 
 
-def test_repo_checks_clean_under_all_eight_rules():
+def test_repo_checks_clean_under_all_rules():
     report = check_paths(["src/repro"])
     assert report.rules_run == ALL_RULES
     assert report.diagnostics == []
@@ -207,9 +207,9 @@ def test_cli_check_sarif_shape(tmp_path, capsys):
 
 
 def test_sarif_rules_metadata_lists_ran_rules():
-    doc = to_sarif(check_paths(["src/repro/dispatch.py"]))
+    doc = to_sarif(check_paths(["src/repro/params.py"]))
     rules = doc["runs"][0]["tool"]["driver"]["rules"]
     ids = [r["id"] for r in rules]
-    # dispatch.py is the dispatch owner: REPRO002 must NOT have run
-    assert "REPRO002" not in ids
+    # params.py is not a hot module: REPRO001 must NOT have run
+    assert "REPRO001" not in ids
     assert "REPRO003" in ids

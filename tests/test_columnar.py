@@ -21,6 +21,9 @@ from repro.schedule.ops import Schedule, SendOp
 from repro.schedule.serialize import schedule_from_json, schedule_to_json
 from repro.sim.validate import violations
 
+from tests.oracles import builders as oracle_builders
+from tests.oracles.validate import violations as scalar_violations
+
 
 class TestItemTable:
     def test_insertion_order_interning(self):
@@ -247,17 +250,17 @@ class TestBuilderEquivalence:
     def test_all_to_all_backends_agree(self, P, L):
         params = postal(P=P, L=L)
         fast = all_to_all_schedule(params)
-        oracle = all_to_all_schedule(params, backend="objects")
+        oracle = oracle_builders.all_to_all_schedule(params)
         assert fast.sends == oracle.sends
         assert fast.initial == oracle.initial
-        assert violations(fast) == violations(oracle) == []
+        assert violations(fast) == scalar_violations(oracle) == []
 
     def test_all_to_all_custom_orders(self):
         P = 5
         params = postal(P=P, L=2)
         orders = [[(i + d) % P for d in range(1, P)] for i in range(P)]
         fast = all_to_all_schedule(params, orders)
-        oracle = all_to_all_schedule(params, orders, backend="objects")
+        oracle = oracle_builders.all_to_all_schedule(params, orders)
         assert fast.sends == oracle.sends
 
     def test_all_to_all_bad_orders_still_validated(self):
@@ -269,7 +272,7 @@ class TestBuilderEquivalence:
     def test_personalized_backends_agree(self, P):
         params = postal(P=P, L=3)
         fast = all_to_all_personalized_schedule(params)
-        oracle = all_to_all_personalized_schedule(params, backend="objects")
+        oracle = oracle_builders.all_to_all_personalized_schedule(params)
         assert fast.sends == oracle.sends
         assert fast.initial == oracle.initial
 
@@ -277,7 +280,7 @@ class TestBuilderEquivalence:
     def test_kitem_backends_agree(self, P, k):
         params = postal(P=P, L=2)
         fast = k_item_all_to_all_schedule(params, k)
-        oracle = k_item_all_to_all_schedule(params, k, backend="objects")
+        oracle = oracle_builders.k_item_all_to_all_schedule(params, k)
         assert fast.sends == oracle.sends
         assert fast.initial == oracle.initial
 
@@ -288,26 +291,27 @@ class TestBuilderEquivalence:
     def test_tree_emitter_backends_agree(self, params):
         tree = optimal_tree(params)
         fast = schedule_from_tree(tree, item=("bcast", 0), start_time=4)
-        oracle = schedule_from_tree(
-            tree, item=("bcast", 0), start_time=4, backend="objects"
+        oracle = oracle_builders.schedule_from_tree(
+            tree, item=("bcast", 0), start_time=4
         )
         assert fast.sends == oracle.sends
         assert fast.initial == oracle.initial
         assert fast.source_items == oracle.source_items
+
+    def test_unknown_backend_rejected(self):
+        # the builders have one storage mode and take no backend argument
+        params = postal(P=3, L=2)
+        with pytest.raises(TypeError, match="backend"):
+            all_to_all_schedule(params, backend="cuda")
 
     def test_tree_emitter_proc_map(self):
         params = postal(P=9, L=2)
         tree = optimal_tree(params)
         mapping = {i: (i + 3) % 9 for i in range(9)}
         fast = schedule_from_tree(tree, proc_map=mapping)
-        oracle = schedule_from_tree(tree, proc_map=mapping, backend="objects")
+        oracle = oracle_builders.schedule_from_tree(tree, proc_map=mapping)
         assert fast.sends == oracle.sends
         assert fast.initial == oracle.initial
-
-    def test_unknown_backend_rejected(self):
-        params = postal(P=3, L=2)
-        with pytest.raises(ValueError, match="unknown backend"):
-            all_to_all_schedule(params, backend="cuda")
 
 
 class TestSerializeColumnar:
@@ -323,5 +327,5 @@ class TestSerializeColumnar:
     def test_backends_serialize_identically(self):
         params = postal(P=7, L=3)
         fast = all_to_all_schedule(params)
-        oracle = all_to_all_schedule(params, backend="objects")
+        oracle = oracle_builders.all_to_all_schedule(params)
         assert schedule_to_json(fast) == schedule_to_json(oracle)

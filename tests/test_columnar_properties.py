@@ -26,8 +26,10 @@ from repro.params import LogPParams, postal
 from repro.schedule.columnar import ItemTable
 from repro.schedule.ops import Schedule
 from repro.schedule.serialize import schedule_from_json, schedule_to_json
-from repro.sim.validate import violations
 from repro.sim.validate_np import violations_np
+
+from tests.oracles import builders as oracle_builders
+from tests.oracles.validate import violations as scalar_violations
 
 # deliberately unorderable mix: int < tuple raises TypeError, so any
 # code path that sorts raw items (rather than (time, src, dst) keys or
@@ -89,9 +91,7 @@ class TestHostileTwins:
     @settings(max_examples=150, deadline=None)
     def test_scalar_violations_byte_identical(self, twins):
         obj, arr = twins
-        assert violations(obj, force_scalar=True) == violations(
-            arr, force_scalar=True
-        )
+        assert scalar_violations(obj) == scalar_violations(arr)
 
     @given(twins=_twin_schedules())
     @settings(max_examples=150, deadline=None)
@@ -125,8 +125,8 @@ class TestLegalBuilders:
     def test_all_to_all(self, P, L):
         params = postal(P=P, L=L)
         fast = all_to_all_schedule(params)
-        oracle = all_to_all_schedule(params, backend="objects")
-        assert violations(fast, force_scalar=True) == []
+        oracle = oracle_builders.all_to_all_schedule(params)
+        assert scalar_violations(fast) == []
         assert violations_np(fast) == []
         assert schedule_to_json(fast) == schedule_to_json(oracle)
 
@@ -135,7 +135,7 @@ class TestLegalBuilders:
     def test_personalized(self, P, L):
         params = postal(P=P, L=L)
         fast = all_to_all_personalized_schedule(params)
-        oracle = all_to_all_personalized_schedule(params, backend="objects")
+        oracle = oracle_builders.all_to_all_personalized_schedule(params)
         assert fast.sends == oracle.sends
         assert schedule_to_json(fast) == schedule_to_json(oracle)
 
@@ -144,6 +144,6 @@ class TestLegalBuilders:
     def test_kitem(self, P, L, k):
         params = postal(P=P, L=L)
         fast = k_item_all_to_all_schedule(params, k)
-        oracle = k_item_all_to_all_schedule(params, k, backend="objects")
-        assert violations(fast, force_scalar=True) == []
+        oracle = oracle_builders.k_item_all_to_all_schedule(params, k)
+        assert scalar_violations(fast) == []
         assert schedule_to_json(fast) == schedule_to_json(oracle)

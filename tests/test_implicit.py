@@ -295,7 +295,8 @@ class TestRegistryStorage:
             registry.plan("broadcast", FIG1, storage="sparse")
         with pytest.raises(ValueError, match="supported by: broadcast, reduction"):
             registry.plan("kitem", postal(P=8, L=2), storage="implicit", k=3)
-        with pytest.raises(ValueError, match="backend= does not apply"):
+        # there is no compute-backend option to pin, implicit or not
+        with pytest.raises(ValueError, match=r"unknown parameter\(s\) backend"):
             registry.plan(
                 "broadcast", FIG1, storage="implicit", backend="columnar"
             )

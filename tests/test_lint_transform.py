@@ -25,7 +25,9 @@ from repro.core.kitem.single_sending import single_sending_schedule
 from repro.core.single_item import optimal_broadcast_schedule
 from repro.params import LogPParams
 from repro.schedule.ops import Schedule, SendOp
-from repro.schedule.transform import concat, remap, restrict, reverse, shift
+from repro.schedule.transform import concat, remap, restrict, shift
+
+from tests.oracles.transform import reverse_objects
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -80,8 +82,11 @@ class TestRelabelingInvariance:
     def test_reverse_introduces_no_warnings(self, sched):
         # per-(dst, item) labels: the default ("rev", dst) tag collapses
         # the k items a single edge carries into one, which would turn a
-        # legal k-item reversal into genuine duplicate deliveries
-        reversed_ = reverse(sched, item_of=lambda op: ("rev", op.dst, op.item))
+        # legal k-item reversal into genuine duplicate deliveries, so
+        # this relabelling runs through the objects oracle
+        reversed_ = reverse_objects(
+            sched, item_of=lambda op: ("rev", op.dst, op.item)
+        )
         assert warnings_and_up(reversed_) <= warnings_and_up(sched)
 
 

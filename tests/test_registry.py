@@ -10,8 +10,9 @@ across ``test_single_item.py`` / ``test_kitem.py`` / ``test_all_to_all.py``
 * pass the static lint sweep with nothing at ERROR severity,
 * complete no earlier than its registered closed-form lower bound —
   and *exactly at* the bound whenever the spec claims tightness,
-* round-trip through JSON serialization byte-identically, from every
-  storage backend the spec supports.
+* round-trip through JSON serialization byte-identically, and serialize
+  to the same bytes as the objects oracle of its builder where one
+  exists (``tests/oracles/builders.py``).
 
 Adding a spec to :mod:`repro.registry.specs` automatically enrolls it
 here — no new test code required.
@@ -25,9 +26,21 @@ from hypothesis import strategies as st
 
 from repro import registry
 from repro.analyze import assert_lint_clean
+from repro.core.tree import optimal_tree
 from repro.params import LogPParams
 from repro.schedule.serialize import schedule_from_json, schedule_to_json
 from repro.sim.machine import replay
+
+from tests.oracles import builders as oracle_builders
+
+#: collective -> objects-oracle builder for the specs with a columnar
+#: builder (everything else builds object-stored schedules directly)
+OBJECTS_ORACLES = {
+    "broadcast": lambda params: oracle_builders.schedule_from_tree(
+        optimal_tree(params)
+    ),
+    "all-to-all": oracle_builders.all_to_all_schedule,
+}
 
 
 def split_case(case: dict) -> tuple[LogPParams, dict]:
@@ -100,16 +113,13 @@ class TestEverySpec:
     @pytest.mark.parametrize("spec,case", CASES)
     def test_serialize_round_trip_every_backend(self, spec, case):
         params, extra = split_case(case)
-        blobs = {}
-        for backend in spec.backends:
-            schedule = registry.plan(
-                spec.name, params, backend=backend, **extra
-            )
-            blob = schedule_to_json(schedule)
-            assert schedule_to_json(schedule_from_json(blob)) == blob
-            blobs[backend] = blob
-        # both storage backends must serialize to the same bytes
-        assert len(set(blobs.values())) == 1, sorted(blobs)
+        blob = schedule_to_json(registry.plan(spec.name, params, **extra))
+        assert schedule_to_json(schedule_from_json(blob)) == blob
+        oracle = OBJECTS_ORACLES.get(spec.name)
+        if oracle is not None:
+            # the columnar builder and its per-send oracle loop must
+            # serialize to the same bytes
+            assert schedule_to_json(oracle(params)) == blob
 
 
 class TestLookup:
@@ -180,10 +190,13 @@ class TestDomainErrors:
             registry.plan("continuous", P=3, L=2, k=3)
 
     def test_backend_override_must_be_supported(self):
-        with pytest.raises(ValueError, match=r"not supported"):
-            registry.plan("kitem", P=4, L=3, k=2, backend="columnar")
-        with pytest.raises(ValueError, match="backend"):
-            registry.plan("broadcast", P=4, L=3, backend="rowwise")
+        # no builder supports a compute-backend override any more: the
+        # keyword gets the uniform unknown-parameter error
+        for name, extra in (("kitem", {"k": 2}), ("broadcast", {})):
+            with pytest.raises(
+                ValueError, match=rf"{name}: unknown parameter\(s\) backend"
+            ):
+                registry.plan(name, P=4, L=3, backend="columnar", **extra)
 
     def test_params_and_machine_kwargs_conflict(self):
         with pytest.raises(ValueError, match="not both"):

@@ -2,8 +2,7 @@
 
 Covers the PR-7 acceptance properties:
 
-* cache-key invariance — aliases, dispatch environment, and
-  columnar/implicit storage twins that materialize byte-identically all
+* cache-key invariance — aliases and columnar/implicit storage twins that materialize byte-identically all
   resolve to one cached plan;
 * ``plan_many`` with N duplicate keys plans exactly once
   (counter-asserted);
@@ -16,8 +15,6 @@ Covers the PR-7 acceptance properties:
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
 import threading
 import urllib.error
 import urllib.request
@@ -27,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import dispatch, registry
+from repro import registry
 from repro.bench import latest_baseline
 from repro.params import LogPParams
 from repro.schedule.serialize import schedule_from_json, schedule_to_json
@@ -88,56 +85,6 @@ class TestRequestKeys:
             "broadcast", storage="implicit", family="binomial", **FIG1
         )
         assert request_key(binomial) != request_key(default)
-
-    def test_key_is_independent_of_dispatch_policy(self):
-        req = {"collective": "broadcast", **FIG1}
-        outputs = []
-        for mode in ("objects", "numpy", "auto"):
-            previous = dispatch.set_policy(dispatch.DispatchPolicy(mode=mode))
-            try:
-                service = PlanService(capacity=4)
-                outputs.append(
-                    (
-                        request_key(canonical_request("bcast", **FIG1)),
-                        service.plan_json(req),
-                    )
-                )
-            finally:
-                dispatch.set_policy(previous)
-        assert len({key for key, _ in outputs}) == 1
-        assert len({content for _, content in outputs}) == 1
-
-    def test_key_is_independent_of_dispatch_environment(self):
-        # the real thing: fresh interpreters with REPRO_DISPATCH /
-        # REPRO_FAST_PATH_THRESHOLD set must derive identical key and
-        # content bytes (the env layers are read at import time)
-        script = (
-            "from repro.serve import canonical_request, request_key, "
-            "PlanService\n"
-            "req = canonical_request('bcast', P=8, L=6, o=2, g=4)\n"
-            "print(request_key(req))\n"
-            "print(PlanService(capacity=4).plan_json(req))\n"
-        )
-        outputs = set()
-        for env in (
-            {"REPRO_DISPATCH": "objects"},
-            {"REPRO_DISPATCH": "numpy", "REPRO_FAST_PATH_THRESHOLD": "0"},
-            {},
-        ):
-            result = subprocess.run(
-                [sys.executable, "-c", script],
-                capture_output=True,
-                text=True,
-                check=True,
-                env={
-                    "PYTHONPATH": str(
-                        Path(__file__).resolve().parent.parent / "src"
-                    ),
-                    **env,
-                },
-            )
-            outputs.add(result.stdout)
-        assert len(outputs) == 1
 
     def test_storage_twins_share_a_content_address(self, tmp_path):
         # at small P the universal tree and its closed-form twin emit
@@ -394,7 +341,9 @@ class TestRegistryCacheWiring:
             registry.plan(
                 "broadcast", storage="implicit", cache=service, **FIG1
             )
-        with pytest.raises(ValueError, match="backend= does not combine"):
+        # there is no compute backend to pin: the key's domain check
+        # rejects the keyword like any other unknown parameter
+        with pytest.raises(ValueError, match=r"unknown parameter\(s\) backend"):
             registry.plan(
                 "broadcast", backend="objects", cache=service, **FIG1
             )

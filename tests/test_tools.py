@@ -20,43 +20,3 @@ def test_every_module_importable_with_all():
         for symbol in getattr(module, "__all__", []):
             assert hasattr(module, symbol), (name, symbol)
 
-
-class TestDispatchGate:
-    """The AST gate keeping threshold comparisons inside repro.dispatch."""
-
-    def _tool(self):
-        import importlib.util
-
-        root = pathlib.Path(__file__).resolve().parents[1]
-        spec = importlib.util.spec_from_file_location(
-            "lint_hot_loops", root / "tools" / "lint_hot_loops.py"
-        )
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-        return mod, root
-
-    def test_package_is_clean(self):
-        mod, root = self._tool()
-        problems = []
-        for path in mod.dispatch_gate_targets(root):
-            problems.extend(mod.check_file(path, root))
-        assert problems == []
-
-    def test_threshold_comparison_is_flagged(self, tmp_path):
-        mod, root = self._tool()
-        bad = tmp_path / "bad.py"
-        bad.write_text(
-            "def f(s, np):\n"
-            "    return s.num_sends >= np.FAST_PATH_THRESHOLD\n"
-        )
-        problems = mod.check_file(bad, root)
-        assert len(problems) == 1
-        assert "FAST_PATH_THRESHOLD" in problems[0]
-        assert "repro.dispatch" in problems[0]
-
-    def test_dispatch_module_itself_is_exempt(self):
-        mod, root = self._tool()
-        dispatch = root / "src" / "repro" / "dispatch.py"
-        assert mod.check_file(dispatch, root) == []
-        # sanity: the policy really does compare against the threshold
-        assert "threshold" in dispatch.read_text()
