@@ -4,13 +4,16 @@
   paper's natural follow-up model — asserts the pipelining crossover;
 * latency-jitter robustness: the optimal tree's advantage survives
   stochastic networks (Monte-Carlo over the tree dependency structure);
-* high-level Communicator planning throughput (plan construction is the
-  part an MPI library would run at communicator-creation time).
+* collective planning throughput through ``registry.plan`` (plan
+  construction is the part an MPI library would run at
+  communicator-creation time).
 """
 
 import numpy as np
 
-from repro.comm import Communicator, VirtualCluster
+from repro import registry
+from repro.comm import VirtualCluster
+from repro.core.combining import allreduce_time
 from repro.experiments.robustness import robustness_study
 from repro.loggp import LogGPParams, plan_broadcast, segment_sweep
 from repro.params import LogPParams, postal
@@ -51,14 +54,18 @@ def test_jitter_robustness(benchmark):
 
 
 def test_communicator_planning(benchmark):
+    params = postal(P=9, L=3)
+
+    def cycles(name, **extra):
+        return registry.completion(registry.plan(name, params, **extra))
+
     def run():
-        comm = Communicator(postal(P=9, L=3))
         return (
-            comm.bcast().cycles,
-            comm.reduce().cycles,
-            comm.allreduce().cycles,
-            comm.allgather().cycles,
-            comm.kitem_bcast(6).cycles,
+            cycles("broadcast"),
+            cycles("reduction"),
+            allreduce_time(params)[0],
+            cycles("all-to-all"),
+            cycles("kitem", k=6),
         )
 
     bcast, reduce_, allreduce, allgather, kitem = benchmark(run)

@@ -4,10 +4,7 @@ Usage::
 
     python -m repro.cli builders   [--names]
     python -m repro.cli plan <collective> --P 8 --L 6 --o 2 --g 4 [--k N]
-    python -m repro.cli plan-bcast --P 8 --L 6 --o 2 --g 4 [--show-tree]
-    python -m repro.cli plan-kitem --P 10 --L 3 --k 8 [--table]
-    python -m repro.cli plan-sum   --P 8 --L 5 --o 2 --g 4 --n 79
-    python -m repro.cli plan-allreduce --P 9 --L 3
+    python -m repro.cli report     --P 8 --L 6 --o 2 --g 4
     python -m repro.cli figures    [--only 1 2 ...]
     python -m repro.cli sweeps
     python -m repro.cli bench      [--out BENCH.json] [--repeat N] [--quick]
@@ -68,20 +65,9 @@ import argparse
 import sys
 
 from repro import registry
-from repro.baselines.trees import baseline_broadcast
-from repro.core.combining import combining_time, simulate_combining
-from repro.core.fib import kitem_lower_bound
-from repro.core.kitem.bounds import kitem_upper_bound, single_sending_lower_bound
-from repro.core.kitem.single_sending import single_sending_schedule
-from repro.core.single_item import optimal_broadcast_schedule
-from repro.core.summation.capacity import min_summation_time, operand_distribution
-from repro.core.summation.schedule import summation_schedule, verify_summation
-from repro.core.tree import optimal_tree
-from repro.params import LogPParams, postal
-from repro.schedule.analysis import broadcast_delay_per_proc, item_completion_times
+from repro.params import LogPParams
 from repro.sim.machine import replay
-from repro.viz.ascii import render_schedule_activity, render_tree
-from repro.viz.tables import reception_table, render_reception_table
+from repro.viz.ascii import render_schedule_activity
 
 __all__ = ["main"]
 
@@ -177,6 +163,16 @@ def cmd_plan(args: argparse.Namespace) -> int:
     if extras:
         line += f" ({extras})"
     print(line)
+    planned = schedule.params.P
+    if planned > params.P:
+        # allreduce plans on the next natural size P(T) >= P
+        print(
+            f"  planned on P(T) = {planned} processors, "
+            f"rounded up from P = {params.P}"
+        )
+    elif planned < params.P:
+        # summation may finish sooner on a subset of the processors
+        print(f"  planned on {planned} of the P = {params.P} processors")
     print(f"  completes in {done} cycles")
     if bound is not None:
         gap = done - bound
@@ -185,77 +181,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
     if args.timeline:
         print()
         print(render_schedule_activity(schedule))
-    return 0
-
-
-def cmd_plan_bcast(args: argparse.Namespace) -> int:
-    machine = _machine(args)
-    schedule = optimal_broadcast_schedule(machine)
-    replay(schedule)
-    delays = broadcast_delay_per_proc(schedule)
-    print(f"optimal broadcast on {machine}: B(P) = {max(delays.values())} cycles")
-    for name in ("binomial", "binary", "flat"):
-        base = baseline_broadcast(name, machine)
-        replay(base)
-        print(f"  {name:<9} would take {max(broadcast_delay_per_proc(base).values())}")
-    if args.show_tree:
-        print()
-        print(render_tree(optimal_tree(machine)))
-    if args.timeline:
-        print()
-        print(render_schedule_activity(schedule))
-    return 0
-
-
-def cmd_plan_kitem(args: argparse.Namespace) -> int:
-    schedule = single_sending_schedule(args.k, args.P, args.L)
-    replay(schedule)
-    done = max(item_completion_times(schedule, set(range(args.P))).values())
-    print(
-        f"k-item broadcast: k={args.k}, P={args.P}, L={args.L} "
-        f"(postal model)\n"
-        f"  completion:             {done} steps\n"
-        f"  Thm 3.1 lower bound:    {kitem_lower_bound(args.P, args.L, args.k)}\n"
-        f"  single-sending bound:   {single_sending_lower_bound(args.P, args.L, args.k)}\n"
-        f"  Thm 3.6 upper bound:    {kitem_upper_bound(args.P, args.L, args.k)}"
-    )
-    if args.table:
-        print()
-        print(render_reception_table(reception_table(schedule)))
-    return 0
-
-
-def cmd_plan_sum(args: argparse.Namespace) -> int:
-    machine = _machine(args)
-    if args.t is not None:
-        t = args.t
-    else:
-        t = min_summation_time(args.n, machine)
-    plan = summation_schedule(t, machine)
-    total = verify_summation(plan)
-    replay(plan.to_schedule())
-    print(
-        f"optimal summation on {machine}:\n"
-        f"  n = {plan.n} operands in t = {t} cycles "
-        f"(functionally verified, total={total})\n"
-        f"  operand distribution: {[len(ops) for ops in plan.operands]}"
-    )
-    if args.timeline:
-        print()
-        print(render_schedule_activity(plan.to_schedule()))
-    return 0
-
-
-def cmd_plan_allreduce(args: argparse.Namespace) -> int:
-    T = combining_time(args.P, args.L)
-    run = simulate_combining(T, args.L)
-    replay(run.schedule)
-    assert run.complete()
-    print(
-        f"combining broadcast (all-reduce): P={args.P}, L={args.L}\n"
-        f"  completes in T = {T} postal steps on P(T) = {run.P} processors\n"
-        f"  (reduce-then-broadcast would take {2 * T})"
-    )
     return 0
 
 
@@ -665,32 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=None, help="time budget (summation)")
     p.add_argument("--timeline", action="store_true")
     p.set_defaults(func=cmd_plan)
-
-    p = sub.add_parser("plan-bcast", help="optimal single-item broadcast")
-    machine_args(p)
-    p.add_argument("--show-tree", action="store_true")
-    p.add_argument("--timeline", action="store_true")
-    p.set_defaults(func=cmd_plan_bcast)
-
-    p = sub.add_parser("plan-kitem", help="k-item broadcast (postal model)")
-    p.add_argument("--P", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--table", action="store_true", help="print reception table")
-    p.set_defaults(func=cmd_plan_kitem)
-
-    p = sub.add_parser("plan-sum", help="optimal summation")
-    machine_args(p)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=int, help="number of operands")
-    group.add_argument("--t", type=int, help="time budget (cycles)")
-    p.add_argument("--timeline", action="store_true")
-    p.set_defaults(func=cmd_plan_sum)
-
-    p = sub.add_parser("plan-allreduce", help="combining broadcast")
-    p.add_argument("--P", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.set_defaults(func=cmd_plan_allreduce)
 
     p = sub.add_parser("report", help="full Markdown report for a machine")
     machine_args(p)

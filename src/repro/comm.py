@@ -1,20 +1,13 @@
-"""High-level collectives API: plan like MPI, execute on the simulator.
+"""MPI-style collectives on real Python values.
 
-Two layers:
-
-* :class:`Communicator` — produces validated *plans* (schedules plus
-  metadata) for the full collective vocabulary: ``bcast``, ``kitem_bcast``,
-  ``scatter``, ``gather``, ``allgather``, ``reduce``, ``allreduce``,
-  ``alltoall`` — each built from the paper's optimal construction and
-  replayed on the LogP validator before being returned.
-
-* :class:`VirtualCluster` — executes those plans on actual Python values
-  through the :mod:`repro.exec` stack (lowered to per-rank programs and
-  run on a real transport, ``inproc`` by default), returning both the
-  per-processor results and the cycle-accurate elapsed time.  This is
-  the "does it really work" layer: the data movement follows the
-  schedule exactly, so a wrong schedule produces wrong data, not just a
-  wrong time.
+:class:`VirtualCluster` plans each collective through
+:func:`repro.registry.plan`, relabels ranks for roots other than 0, and
+executes the plan through the :mod:`repro.exec` stack (lowered to
+per-rank programs and run on a real transport, ``inproc`` by default).
+It returns both the per-processor results and the cycle-accurate
+elapsed time.  This is the "does it really work" layer: the data
+movement follows the schedule exactly, so a wrong schedule produces
+wrong data, not just a wrong time.
 
 Example::
 
@@ -28,358 +21,34 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro.core.all_to_all import (
-    all_to_all_personalized_schedule,
-    all_to_all_schedule,
-    all_to_all_time,
-)
-from repro.core.combining import simulate_combining
-from repro.core.fib import broadcast_time, broadcast_time_postal, fib
-from repro.core.kitem.single_sending import single_sending_schedule
-from repro.core.single_item import optimal_broadcast_schedule, schedule_from_tree
-from repro.core.tree import optimal_tree
+from repro import registry
+from repro.core.combining import allreduce_time
 from repro.params import LogPParams
-from repro.schedule.analysis import completion_time
-from repro.schedule.ops import Schedule, SendOp
-from repro.sim.machine import replay
+from repro.schedule.ops import Schedule
 
 if TYPE_CHECKING:
     from repro.exec.run import ExecResult
 
-__all__ = ["Plan", "Communicator", "VirtualCluster"]
-
-
-@dataclass
-class Plan:
-    """A validated collective plan."""
-
-    kind: str
-    params: LogPParams
-    schedule: Schedule
-    cycles: int
-    meta: dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        replay(self.schedule)
-
-
-def _rotate(proc: int, root: int, P: int) -> int:
-    """Map logical rank (root-centric) to physical processor id."""
-    return (proc + root) % P
-
-
-class Communicator:
-    """Plans optimal collectives for one machine.
-
-    Plans are deterministic and cached per (kind, arguments).
-    """
-
-    def __init__(self, params: LogPParams):
-        self.params = params
-        self._cache: dict[tuple, Plan] = {}
-
-    def _cached(self, key: tuple, build: Callable[[], Plan]) -> Plan:
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
-    # -- one-to-all -------------------------------------------------------
-
-    def bcast(self, root: int = 0) -> Plan:
-        """Optimal single-item broadcast from ``root`` (Theorem 2.1)."""
-        self._check_root(root)
-
-        def build() -> Plan:
-            tree = optimal_tree(self.params)
-            P = self.params.P
-            mapping = {i: _rotate(i, root, P) for i in range(P)}
-            schedule = schedule_from_tree(tree, item=("bcast", root), proc_map=mapping)
-            return Plan(
-                kind="bcast",
-                params=self.params,
-                schedule=schedule,
-                cycles=broadcast_time(P, self.params),
-                meta={"root": root},
-            )
-
-        return self._cached(("bcast", root), build)
-
-    def kitem_bcast(self, k: int, root: int = 0) -> Plan:
-        """Pipelined k-item broadcast (Theorems 3.6/Cor 3.1, postal model)."""
-        self._check_root(root)
-        if not self.params.is_postal:
-            raise ValueError(
-                "k-item broadcast planning follows the paper's postal-model "
-                "analysis; call with o=0, g=1 parameters"
-            )
-
-        def build() -> Plan:
-            base = single_sending_schedule(k, self.params.P, self.params.L)
-            P = self.params.P
-            schedule = Schedule(
-                params=self.params,
-                initial={root: {("kbcast", i) for i in range(k)}},
-                source_items={("kbcast", i): i for i in range(k)},
-            )
-            for op in base.sends:
-                schedule.add(
-                    time=op.time,
-                    src=_rotate(op.src, root, P),
-                    dst=_rotate(op.dst, root, P),
-                    item=("kbcast", op.item),
-                )
-            return Plan(
-                kind="kitem_bcast",
-                params=self.params,
-                schedule=schedule,
-                cycles=completion_time(schedule),
-                meta={"root": root, "k": k},
-            )
-
-        return self._cached(("kitem_bcast", k, root), build)
-
-    def scatter(self, root: int = 0) -> Plan:
-        """Personalized one-to-all: the root streams one item per rank.
-
-        The root is the bottleneck — ``P - 1`` sends at gap ``g`` — so the
-        flat schedule is optimal: ``L + 2o + (P-2) g``.
-        """
-        self._check_root(root)
-
-        def build() -> Plan:
-            P = self.params.P
-            schedule = Schedule(
-                params=self.params,
-                initial={root: {("scatter", dst) for dst in range(P) if dst != root}},
-            )
-            slot = 0
-            for dst in range(P):
-                if dst == root:
-                    continue
-                schedule.add(
-                    time=slot * self.params.g,
-                    src=root,
-                    dst=dst,
-                    item=("scatter", dst),
-                )
-                slot += 1
-            return Plan(
-                kind="scatter",
-                params=self.params,
-                schedule=schedule,
-                cycles=completion_time(schedule),
-                meta={"root": root},
-            )
-
-        return self._cached(("scatter", root), build)
-
-    # -- all-to-one -------------------------------------------------------
-
-    def gather(self, root: int = 0) -> Plan:
-        """All-to-one personalized: the reverse of scatter, same cost."""
-        self._check_root(root)
-
-        def build() -> Plan:
-            scatter = self.scatter(root)
-            span = scatter.cycles
-            sends = [
-                SendOp(
-                    time=span - op.arrival(self.params),
-                    src=op.dst,
-                    dst=op.src,
-                    item=("gather", op.dst),
-                )
-                for op in scatter.schedule.sends
-            ]
-            schedule = Schedule(
-                params=self.params,
-                sends=sorted(sends),
-                initial={
-                    p: {("gather", p)} for p in range(self.params.P) if p != root
-                },
-            )
-            return Plan(
-                kind="gather",
-                params=self.params,
-                schedule=schedule,
-                cycles=completion_time(schedule),
-                meta={"root": root},
-            )
-
-        return self._cached(("gather", root), build)
-
-    def reduce(self, root: int = 0) -> Plan:
-        """All-to-one reduction: the time reversal of optimal broadcast."""
-        self._check_root(root)
-
-        def build() -> Plan:
-            bcast = optimal_broadcast_schedule(self.params)
-            P = self.params.P
-            B = broadcast_time(P, self.params)
-            sends = [
-                SendOp(
-                    time=B - op.arrival(self.params),
-                    src=_rotate(op.dst, root, P),
-                    dst=_rotate(op.src, root, P),
-                    item=("red", _rotate(op.dst, root, P)),
-                )
-                for op in bcast.sends
-            ]
-            schedule = Schedule(
-                params=self.params,
-                sends=sorted(sends),
-                initial={p: {("red", p)} for p in range(P)},
-            )
-            return Plan(
-                kind="reduce",
-                params=self.params,
-                schedule=schedule,
-                cycles=B,
-                meta={"root": root},
-            )
-
-        return self._cached(("reduce", root), build)
-
-    # -- all-to-all -------------------------------------------------------
-
-    def allreduce(self) -> Plan:
-        """Combining broadcast (Theorem 4.1): all-reduce in reduce time.
-
-        Requires the postal model and ``P = P(T)`` for some ``T`` (the
-        algorithm's natural sizes); other sizes fall back to
-        reduce-then-broadcast.
-        """
-        def build() -> Plan:
-            P, L = self.params.P, self.params.L
-            if self.params.is_postal:
-                T = broadcast_time_postal(P, L)
-                if fib(L, T) == P and T >= L:
-                    run = simulate_combining(T, L)
-                    assert run.P == P
-                    return Plan(
-                        kind="allreduce",
-                        params=self.params,
-                        schedule=run.schedule,
-                        cycles=T,
-                        meta={"algorithm": "combining", "T": T},
-                    )
-            reduce_plan = self.reduce(0)
-            bcast_plan = self.bcast(0)
-            sends = list(reduce_plan.schedule.sends)
-            offset = reduce_plan.cycles
-            for op in bcast_plan.schedule.sends:
-                sends.append(
-                    SendOp(
-                        time=offset + op.time,
-                        src=op.src,
-                        dst=op.dst,
-                        item=("allred-bcast",),
-                    )
-                )
-            schedule = Schedule(
-                params=self.params,
-                sends=sorted(sends),
-                initial={p: {("red", p), ("allred-bcast",)} for p in range(self.params.P)},
-            )
-            return Plan(
-                kind="allreduce",
-                params=self.params,
-                schedule=schedule,
-                cycles=completion_time(schedule),
-                meta={"algorithm": "reduce+bcast"},
-            )
-
-        return self._cached(("allreduce",), build)
-
-    def allgather(self) -> Plan:
-        """All-to-all broadcast: the Section 4.1 cyclic schedule."""
-        def build() -> Plan:
-            schedule = all_to_all_schedule(self.params)
-            return Plan(
-                kind="allgather",
-                params=self.params,
-                schedule=schedule,
-                cycles=all_to_all_time(self.params),
-            )
-
-        return self._cached(("allgather",), build)
-
-    def alltoall(self) -> Plan:
-        """All-to-all personalized communication (same cyclic timing)."""
-        def build() -> Plan:
-            schedule = all_to_all_personalized_schedule(self.params)
-            return Plan(
-                kind="alltoall",
-                params=self.params,
-                schedule=schedule,
-                cycles=all_to_all_time(self.params),
-            )
-
-        return self._cached(("alltoall",), build)
-
-    def _check_root(self, root: int) -> None:
-        if not 0 <= root < self.params.P:
-            raise ValueError(f"root {root} out of range for P={self.params.P}")
-
-    # -- sub-communicators --------------------------------------------------
-
-    def subset(self, ranks: Sequence[int]) -> tuple["Communicator", dict[int, int]]:
-        """A communicator over a subset of ranks (MPI_Comm_split style).
-
-        Returns the sub-communicator (its ranks renumbered ``0..n-1``) and
-        the map from sub-rank to this communicator's physical rank; use
-        :func:`embed_plan` to lift a sub-plan back to physical ranks.
-        """
-        ranks = list(dict.fromkeys(ranks))
-        if not ranks:
-            raise ValueError("a sub-communicator needs at least one rank")
-        for r in ranks:
-            self._check_root(r)
-        sub = Communicator(self.params.with_processors(len(ranks)))
-        return sub, {i: r for i, r in enumerate(ranks)}
-
-
-def embed_plan(
-    plan: Plan, mapping: dict[int, int], params: LogPParams | None = None
-) -> Schedule:
-    """Lift a sub-communicator plan onto the parent's physical ranks.
-
-    ``mapping`` is the sub-rank -> physical-rank map from
-    :meth:`Communicator.subset`; ``params`` (optional) re-tags the result
-    with the parent machine's parameters.  The lifted schedule is
-    re-validated.
-    """
-    from repro.schedule.transform import remap
-    from repro.sim.machine import replay as _replay
-
-    lifted = remap(plan.schedule, mapping)
-    if params is not None:
-        lifted = Schedule(
-            params=params,
-            sends=lifted.sends,
-            initial=lifted.initial,
-            source_items=lifted.source_items,
-        )
-    _replay(lifted)
-    return lifted
+__all__ = ["VirtualCluster"]
 
 
 class VirtualCluster:
     """Executes collective plans on real Python values.
 
-    A thin front end over :mod:`repro.exec`: every collective lowers
-    its plan's schedule to per-rank programs and runs them on a real
-    transport (``backend="inproc"`` by default — threads and queues,
+    A thin front end over :func:`repro.registry.plan` and
+    :mod:`repro.exec`: every collective plans its root-0 schedule,
+    rotates ranks ``p -> (p + root) % P`` for other roots, lowers it to
+    per-rank programs and runs them on a real transport
+    (``backend="inproc"`` by default — threads and queues,
     deterministic).  Data strictly follows the plan's messages: each
     send moves the value it names, matched receives deliver it, and
     reductions fold with the user's operator in arrival order — so a
     wrong schedule produces wrong data, not just a wrong time.
 
     The reported cycle counts still come from the *model* (the plan's
-    analysis), never from wall clocks.
+    completion time), never from wall clocks.
     """
 
     def __init__(
@@ -389,22 +58,33 @@ class VirtualCluster:
         timeout: float = 30.0,
     ):
         self.params = params
-        self.comm = Communicator(params)
         self.backend = backend
         self.timeout = timeout
 
+    def _plan(self, name: str, root: int = 0, **extra: int) -> Schedule:
+        P = self.params.P
+        if not 0 <= root < P:
+            raise ValueError(f"root {root} out of range for P={P}")
+        schedule = registry.plan(name, self.params, **extra)
+        assert isinstance(schedule, Schedule)
+        if root:
+            from repro.schedule.transform import remap
+
+            schedule = remap(schedule, {p: (p + root) % P for p in range(P)})
+        return schedule
+
     def _execute(
         self,
-        plan: Plan,
+        schedule: Schedule,
         *,
         payloads: dict[int, dict[Any, Any]] | None = None,
         combine: Callable[[Any, Any], Any] | None = None,
         accumulators: dict[int, Any] | None = None,
-    ) -> "ExecResult":
+    ) -> ExecResult:
         from repro.exec import execute
 
         return execute(
-            plan.schedule,
+            schedule,
             transport=self.backend,
             payloads=payloads,
             combine=combine,
@@ -412,95 +92,92 @@ class VirtualCluster:
             timeout=self.timeout,
         )
 
+    def _check_count(self, name: str, values: Sequence[Any]) -> None:
+        if len(values) != self.params.P:
+            raise ValueError(f"{name} needs P={self.params.P} values")
+
     # -- data-movement collectives ----------------------------------------
 
     def bcast(self, value: Any, root: int = 0) -> tuple[list[Any], int]:
-        plan = self.comm.bcast(root)
-        item = ("bcast", root)
-        result = self._execute(plan, payloads={root: {item: value}})
-        results = [result.values[p][item] for p in range(self.params.P)]
-        return results, plan.cycles
+        schedule = self._plan("broadcast", root)
+        result = self._execute(schedule, payloads={root: {0: value}})
+        results = [result.values[p][0] for p in range(self.params.P)]
+        return results, registry.completion(schedule)
 
     def kitem_bcast(
         self, values: Sequence[Any], root: int = 0
     ) -> tuple[list[list[Any]], int]:
-        plan = self.comm.kitem_bcast(len(values), root)
+        k = len(values)
+        schedule = self._plan("kitem", root, k=k)
         result = self._execute(
-            plan,
-            payloads={
-                root: {("kbcast", i): v for i, v in enumerate(values)}
-            },
+            schedule, payloads={root: dict(enumerate(values))}
         )
         ordered = [
-            [result.values[p][("kbcast", i)] for i in range(len(values))]
+            [result.values[p][i] for i in range(k)]
             for p in range(self.params.P)
         ]
-        return ordered, plan.cycles
+        return ordered, registry.completion(schedule)
 
     def scatter(self, values: Sequence[Any], root: int = 0) -> tuple[list[Any], int]:
-        if len(values) != self.params.P:
-            raise ValueError(f"scatter needs P={self.params.P} values")
-        plan = self.comm.scatter(root)
+        self._check_count("scatter", values)
+        P = self.params.P
+        schedule = self._plan("scatter", root)
+        # items name the root-0 destination rank (p - root) % P
         result = self._execute(
-            plan,
+            schedule,
             payloads={
                 root: {
-                    ("scatter", dst): values[dst]
-                    for dst in range(self.params.P)
-                    if dst != root
+                    ("scatter", (p - root) % P): values[p]
+                    for p in range(P)
+                    if p != root
                 }
             },
         )
         return [
-            values[root] if p == root else result.values[p][("scatter", p)]
-            for p in range(self.params.P)
-        ], plan.cycles
+            values[p] if p == root
+            else result.values[p][("scatter", (p - root) % P)]
+            for p in range(P)
+        ], registry.completion(schedule)
 
     def gather(self, values: Sequence[Any], root: int = 0) -> tuple[list[Any], int]:
-        if len(values) != self.params.P:
-            raise ValueError(f"gather needs P={self.params.P} values")
-        plan = self.comm.gather(root)
+        self._check_count("gather", values)
+        P = self.params.P
+        schedule = self._plan("gather", root)
         result = self._execute(
-            plan,
+            schedule,
             payloads={
-                p: {("gather", p): values[p]}
-                for p in range(self.params.P)
+                p: {("gather", (p - root) % P): values[p]}
+                for p in range(P)
                 if p != root
             },
         )
         root_store = result.values[root]
         return [
-            values[p] if p == root else root_store[("gather", p)]
-            for p in range(self.params.P)
-        ], plan.cycles
+            values[p] if p == root else root_store[("gather", (p - root) % P)]
+            for p in range(P)
+        ], registry.completion(schedule)
 
     def allgather(self, values: Sequence[Any]) -> tuple[list[list[Any]], int]:
-        if len(values) != self.params.P:
-            raise ValueError(f"allgather needs P={self.params.P} values")
-        plan = self.comm.allgather()
+        self._check_count("allgather", values)
+        P = self.params.P
+        schedule = self._plan("all-to-all")
         result = self._execute(
-            plan,
-            payloads={
-                p: {("a2a", p): values[p]} for p in range(self.params.P)
-            },
+            schedule, payloads={p: {("a2a", p): values[p]} for p in range(P)}
         )
         ordered = [
-            [result.values[p][("a2a", q)] for q in range(self.params.P)]
-            for p in range(self.params.P)
+            [result.values[p][("a2a", q)] for q in range(P)] for p in range(P)
         ]
-        return ordered, plan.cycles
+        return ordered, registry.completion(schedule)
 
     def alltoall(self, matrix: Sequence[Sequence[Any]]) -> tuple[list[list[Any]], int]:
         P = self.params.P
         if len(matrix) != P or any(len(row) != P for row in matrix):
             raise ValueError(f"alltoall needs a {P}x{P} matrix")
-        plan = self.comm.alltoall()
+        schedule = self._plan("all-to-all-personalized")
         result = self._execute(
-            plan,
+            schedule,
             payloads={
-                i: {
-                    ("p2p", i, j): matrix[i][j] for j in range(P) if j != i
-                }
+                i: {("p2p", i, j): matrix[i][j] for j in range(P) if j != i}
                 for i in range(P)
             },
         )
@@ -511,7 +188,7 @@ class VirtualCluster:
             ]
             for p in range(P)
         ]
-        return ordered, plan.cycles
+        return ordered, registry.completion(schedule)
 
     # -- reductions ----------------------------------------------------------
 
@@ -521,38 +198,36 @@ class VirtualCluster:
         op: Callable[[Any, Any], Any] = lambda a, b: a + b,
         root: int = 0,
     ) -> tuple[Any, int]:
-        if len(values) != self.params.P:
-            raise ValueError(f"reduce needs P={self.params.P} values")
-        plan = self.comm.reduce(root)
+        self._check_count("reduce", values)
+        schedule = self._plan("reduction", root)
         # combine mode: every delivery folds into the receiver's running
         # accumulator in arrival order, every send ships the current
         # value — the execution-side meaning of the reversal schedule
         result = self._execute(
-            plan,
+            schedule,
             combine=op,
             accumulators={p: values[p] for p in range(self.params.P)},
         )
-        return result.values[root], plan.cycles
+        return result.values[root], registry.completion(schedule)
 
     def allreduce(
         self,
         values: Sequence[Any],
         op: Callable[[Any, Any], Any] = lambda a, b: a + b,
     ) -> tuple[list[Any], int]:
+        self._check_count("allreduce", values)
         P = self.params.P
-        if len(values) != P:
-            raise ValueError(f"allreduce needs P={P} values")
-        plan = self.comm.allreduce()
-        if plan.meta.get("algorithm") == "combining":
+        cycles, algorithm = allreduce_time(self.params)
+        if algorithm == "combining":
             # the combining schedule on real data: each message carries
             # the sender's running value at send time, which is exactly
             # combine mode's send-the-accumulator semantics
             result = self._execute(
-                plan,
+                self._plan("allreduce"),
                 combine=op,
                 accumulators={p: values[p] for p in range(P)},
             )
-            return [result.values[p] for p in range(P)], plan.cycles
+            return [result.values[p] for p in range(P)], cycles
         total, _ = self.reduce(values, op, root=0)
         results, _ = self.bcast(total, root=0)
-        return results, plan.cycles
+        return results, cycles

@@ -22,12 +22,12 @@ its ``T`` — a factor-2 saving over reduce-then-broadcast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.fib import fib, fib_sequence
+from repro.core.fib import broadcast_time, fib, fib_sequence
 from repro.core.single_item import optimal_broadcast_schedule
 from repro.params import LogPParams, postal
-from repro.schedule.ops import Schedule, SendOp
+from repro.schedule.ops import Schedule
 
 __all__ = [
     "CombiningRun",
@@ -35,6 +35,7 @@ __all__ = [
     "simulate_k_combining",
     "k_combining_time",
     "combining_time",
+    "allreduce_time",
     "reduction_schedule",
 ]
 
@@ -83,6 +84,21 @@ def combining_time(P: int, L: int) -> int:
         T += 1
         seq = fib_sequence(L, T)
     return T
+
+
+def allreduce_time(params: LogPParams) -> tuple[int, str]:
+    """Cycles of the best all-reduce on ``params`` and the algorithm's name.
+
+    The combining broadcast (``"combining"``, Theorem 4.1) needs the
+    postal model and a natural size ``P = P(T)`` with ``T >= L``; every
+    other machine pays reduce-then-broadcast (``"reduce+bcast"``),
+    ``2 B(P)``.
+    """
+    if params.is_postal:
+        T = combining_time(params.P, params.L)
+        if T >= params.L and fib(params.L, T) == params.P:
+            return T, "combining"
+    return 2 * broadcast_time(params.P, params), "reduce+bcast"
 
 
 def simulate_combining(T: int, L: int) -> CombiningRun:

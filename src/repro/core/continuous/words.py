@@ -30,11 +30,12 @@ corrupting a schedule.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.core.continuous.relative import letter_name, uppercase_offset
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "is_legal_pattern",
@@ -201,6 +202,8 @@ def word_automaton(L: int) -> nx.DiGraph:
     the uppercase letter, i.e. remain legal when the window is preceded by
     an uppercase reception.
     """
+    import networkx as nx
+
     if L < 2:
         raise ValueError("the automaton needs L >= 2")
     window = L - 1

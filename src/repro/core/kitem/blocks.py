@@ -26,13 +26,14 @@ size ``r`` (one copy per member per item) and outbound weight equals the
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
-
-from repro.core.fib import broadcast_time_postal, reachable_postal
 from repro.core.tree import tree_for_time
 from repro.params import postal
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["BlockLayout", "block_layout", "block_transmission_digraph"]
 
@@ -85,6 +86,8 @@ def block_transmission_digraph(t: int, L: int) -> nx.MultiDiGraph:
     ``ValueError`` when the paper's accounting cannot be balanced (the
     construction is stated for odd ``L`` and ``P - 1 = P(t)``).
     """
+    import networkx as nx
+
     if L % 2 == 0:
         raise ValueError("the paper's endgame accounting is stated for odd L")
     layout = block_layout(t, L)

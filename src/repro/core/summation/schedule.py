@@ -21,7 +21,7 @@ Timing recap (processor = node ``i`` of the summation tree, delay ``d``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.summation.capacity import operand_distribution, summation_tree
 from repro.core.tree import BroadcastTree
@@ -67,7 +67,9 @@ def summation_schedule(
     ``operands`` (defaults to ``1, 2, ..., n(t)``) are dealt to processors
     according to the optimal distribution; pass fewer than ``n(t)`` values
     is an error — use :func:`repro.core.summation.capacity.min_summation_time`
-    to right-size ``t`` first.
+    to right-size ``t`` first.  Raises ``ValueError`` when ``g <= o`` and
+    some processor merges two or more children: Lemma 5.1's count of
+    free cycles needs the merge windows to be disjoint.
     """
     dist = operand_distribution(t, params)
     n = sum(dist)
@@ -77,6 +79,13 @@ def summation_schedule(
         raise ValueError(f"expected exactly n(t)={n} operands, got {len(operands)}")
     tree = summation_tree(params)
     o, g = params.o, params.g
+    if g <= o and any(node.out_degree >= 2 for node in tree.nodes):
+        # rank-j merges complete at S - j*g, each after o + 1 busy cycles
+        raise ValueError(
+            f"summation: merging two or more partial sums on one processor "
+            f"assumes g > o (the o+1-cycle merge windows overlap otherwise); "
+            f"got o={o}, g={g} on P={params.P}"
+        )
 
     per_proc: list[list[int]] = []
     cursor = 0

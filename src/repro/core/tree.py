@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterator
 
 from repro.params import LogPParams
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["TreeNode", "BroadcastTree", "optimal_tree", "tree_for_time"]
 
@@ -154,6 +155,8 @@ class BroadcastTree:
 
     def to_networkx(self) -> nx.DiGraph:
         """Export as a networkx DiGraph with ``delay`` node attributes."""
+        import networkx as nx
+
         graph = nx.DiGraph()
         for node in self.nodes:
             graph.add_node(node.index, delay=node.delay)

@@ -17,10 +17,10 @@ realized schedule::
                      transport="inproc", verify=True)
     result.trace.num_delivered  # 7 messages, same multiset as the sim
 
-:class:`~repro.comm.VirtualCluster` fronts this package for the
-high-level collectives API, ``repro run`` from the CLI, and the
-``lower`` pass exposes the compilation step to ``repro opt``
-pipelines.
+:class:`~repro.comm.VirtualCluster` runs ``registry.plan`` schedules
+through this package on real Python values, ``repro run`` does the
+same from the CLI, and the ``lower`` pass exposes the compilation step
+to ``repro opt`` pipelines.
 """
 
 from repro.exec.errors import (

@@ -13,10 +13,10 @@ Two layers live here:
   on each fabric); the intra-node phase is one tiled template, so the
   build never materializes a ``SendOp`` and stays O(level schedules),
   not O(ranks x ranks).
-* :func:`two_level_broadcast_plan` — the example's ``Communicator`` +
-  :func:`repro.comm.embed_plan` flow, returning the composed schedule
-  together with the per-phase cycle counts and the topology-oblivious
-  flat baseline it beats.
+* :func:`two_level_broadcast_plan` — the leader phase planned through
+  :func:`repro.registry.plan` and relabelled onto the leaders' global
+  ranks, returned with the composed schedule, the per-phase cycle
+  counts and the topology-oblivious flat baseline it beats.
 
 Legality of the composition (per-level semantics, DESIGN S38): the
 leader phase is the inter-node optimal broadcast with ranks relabelled
@@ -147,22 +147,32 @@ class TwoLevelBroadcast:
 
 
 def two_level_broadcast_plan(machine: MachineModel) -> TwoLevelBroadcast:
-    """The example's leader-plan + ``embed_plan`` fan-out, as library code.
+    """The leader-plan + fan-out composition, as library code.
 
-    Plans the inter-node phase with a :class:`~repro.comm.Communicator`
-    over the leaders, lifts it onto global ranks via
-    :func:`repro.comm.embed_plan`, and pairs it with the composed
-    columnar schedule and the flat baseline.
+    Plans the inter-node phase with :func:`repro.registry.plan` over
+    the leaders, relabels it onto their global ranks with
+    :func:`~repro.schedule.transform.remap` (re-tagged with the flat
+    envelope's parameters), and pairs it with the composed columnar
+    schedule and the flat baseline.
     """
     m = _require_hier(machine)
-    # comm sits above this module in the layering; import lazily so the
-    # machine package stays importable from the core builders
-    from repro.comm import Communicator, embed_plan
+    # the registry sits above this module in the layering; import lazily
+    # so the machine package stays importable from the core builders
+    from repro import registry
     from repro.schedule.analysis import completion_time
+    from repro.schedule.transform import remap
+    from repro.sim.machine import replay
 
-    inter_plan = Communicator(m.inter).bcast(root=0)
-    mapping = {i: m.leader(i) for i in range(m.nodes)}
-    leader_schedule = embed_plan(inter_plan, mapping, params=m.flat_params)
+    inter = registry.plan("broadcast", m.inter)
+    assert isinstance(inter, Schedule)
+    lifted = remap(inter, {i: m.leader(i) for i in range(m.nodes)})
+    leader_schedule = Schedule(
+        params=m.flat_params,
+        sends=lifted.sends,
+        initial=lifted.initial,
+        source_items=lifted.source_items,
+    )
+    replay(leader_schedule)
     schedule = hier_broadcast_schedule(m)
     inter_cycles = broadcast_time(m.nodes, m.inter)
     intra_cycles = broadcast_time(m.cores, m.intra)

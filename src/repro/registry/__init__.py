@@ -9,6 +9,9 @@ point to build them::
     sched = plan("kitem", P=10, L=3, k=8)
     sched = plan("summation", P=8, L=5, o=2, g=4, n=79)
 
+Roots other than rank 0 are a relabelling of the root-0 plan
+(``repro.schedule.transform.remap`` with ``p -> (p + root) % P``).
+
 :func:`plan` resolves the collective by canonical name or alias,
 validates the machine and the collective-specific parameters against the
 spec's declared domain (uniform one-line ``ValueError``\\ s instead of
@@ -124,6 +127,13 @@ def plan(
     (identical semantics, ignored) and reject anything else.
     Collective-specific parameters (``k``, ``n``, ``t``) are validated
     against the spec's declared domain.
+
+    The returned schedule's ``params`` name the machine it was planned
+    for, which is the requested one for every collective but
+    ``allreduce``: the combining broadcast exists only at the natural
+    sizes ``P(T)``, so a request for ``P`` is planned on the next one,
+    ``P(T) >= P`` ranks (``P=7, L=3`` gives a 9-rank plan finishing at
+    ``T = 7``, the Thm 4.1 bound for ``P=7``).
 
     ``storage="implicit"`` returns an O(log P)-state
     :class:`~repro.schedule.implicit.ImplicitSchedule` instead of

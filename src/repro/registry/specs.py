@@ -1,9 +1,13 @@
-"""The collective records: one :class:`CollectiveSpec` per paper collective.
+"""The collective records: one :class:`CollectiveSpec` per collective.
 
 Seven specs cover the paper's six collectives (single-item, k-item,
 continuous, all-to-all, combining/all-reduce, summation) plus the
 all-to-one reduction (the time reversal of optimal broadcast, Section 5's
-communication skeleton).  Each record normalizes its builder's historical
+communication skeleton).  Three more complete the MPI vocabulary on the
+same bounds: the root-streamed ``scatter``, its time reversal
+``gather``, and ``all-to-all-personalized`` on the Section 4.1 cyclic
+timing.  The two hierarchical specs compose the flat trees per fabric
+level.  Each record normalizes its builder's historical
 signature — ``single_sending_schedule(k, P, L)``,
 ``summation_schedule(t, params)``, ``simulate_combining(T, L)`` — behind
 the uniform ``build(params, **extra)`` shape, declares its parameter
@@ -21,8 +25,11 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from repro.core.all_to_all import (
     all_to_all_lower_bound,
+    all_to_all_personalized_schedule,
     all_to_all_schedule,
     is_tight,
 )
@@ -42,6 +49,7 @@ from repro.core.summation.capacity import min_summation_time, operand_distributi
 from repro.core.summation.schedule import summation_schedule
 from repro.params import LogPParams
 from repro.registry.spec import BoundQuery, CollectiveSpec, ParamField
+from repro.schedule.columnar import ItemTable
 from repro.schedule.implicit import implicit_broadcast, implicit_reduction
 from repro.schedule.ops import Schedule
 
@@ -170,6 +178,42 @@ def _a2a_lint_bound(q: BoundQuery) -> tuple[int, str] | None:
         q.params.send_cost + (m * (P - 1) - 1) * q.params.g,
         f"{m}-item all-to-all bound L+2o+({m}(P-1)-1)g (S4.1)",
     )
+
+
+# -- scatter / gather (root-bound personalized collectives) --------------
+
+
+def _build_scatter(params: LogPParams) -> Schedule:
+    """Rank 0 sends item ``("scatter", d)`` to each ``d`` in turn, one per gap.
+
+    The root's ``P - 1`` sends are the bottleneck, so this flat schedule
+    meets the ``L + 2o + (P-2) g`` bound.
+    """
+    dsts = np.arange(1, params.P, dtype=np.int64)
+    return Schedule.from_arrays(
+        params,
+        (dsts - 1) * params.g,
+        np.zeros_like(dsts),
+        dsts,
+        item_codes=dsts - 1,
+        item_table=ItemTable(("scatter", d) for d in range(1, params.P)),
+        initial={0: {("scatter", d) for d in range(1, params.P)}},
+    )
+
+
+def _build_gather(params: LogPParams) -> Schedule:
+    """The time reversal of scatter: ``d`` sends ``("gather", d)`` to rank 0."""
+    # repro.passes imports the lint engine, which imports this registry
+    from repro.passes import ReversePass
+
+    return ReversePass(
+        tag="gather",
+        initial={d: {("gather", d)} for d in range(1, params.P)},
+    ).run(_build_scatter(params))
+
+
+def _scatter_lower_bound(params: LogPParams) -> int:
+    return params.send_cost + (params.P - 2) * params.g
 
 
 # -- summation (Section 5, Lemma 5.1 / Figure 6) -------------------------
@@ -462,7 +506,10 @@ SPECS: tuple[CollectiveSpec, ...] = (
     CollectiveSpec(
         name="allreduce",
         aliases=("combining", "combining-broadcast", "all-reduce"),
-        summary="combining broadcast: every processor learns the sum",
+        summary=(
+            "combining broadcast: every processor learns the sum "
+            "(planned on P(T) >= P ranks, the next natural size)"
+        ),
         paper="Section 4.2",
         theorem="Thm 4.1",
         build=_build_allreduce,
@@ -489,6 +536,56 @@ SPECS: tuple[CollectiveSpec, ...] = (
         sample_cases=(
             {"P": 8, "L": 6, "o": 2, "g": 4},
             {"P": 5, "L": 2},
+        ),
+    ),
+    CollectiveSpec(
+        name="scatter",
+        aliases=(),
+        summary="personalized one-to-all: the root streams one item per rank",
+        paper="root send bound, as in Section 4.1's counting",
+        theorem="L+2o+(P-2)g",
+        build=_build_scatter,
+        check_machine=lambda p: _require_processors("scatter", p, 2),
+        lower_bound=_scatter_lower_bound,
+        tight=_always,
+        sample_cases=(
+            {"P": 8, "L": 6, "o": 2, "g": 4},
+            {"P": 4, "L": 2},
+            {"P": 2, "L": 1},
+        ),
+    ),
+    CollectiveSpec(
+        name="gather",
+        aliases=(),
+        summary="personalized all-to-one: the time reversal of scatter",
+        paper="root receive bound, as in Section 4.1's counting",
+        theorem="L+2o+(P-2)g",
+        build=_build_gather,
+        check_machine=lambda p: _require_processors("gather", p, 2),
+        lower_bound=_scatter_lower_bound,
+        tight=_always,
+        sample_cases=(
+            {"P": 8, "L": 6, "o": 2, "g": 4},
+            {"P": 4, "L": 2},
+            {"P": 2, "L": 1},
+        ),
+    ),
+    CollectiveSpec(
+        name="all-to-all-personalized",
+        aliases=(),
+        summary="all-to-all personalized exchange on the cyclic timing",
+        paper="Section 4.1",
+        theorem="S4.1 bound",
+        build=all_to_all_personalized_schedule,
+        check_machine=lambda p: _require_processors(
+            "all-to-all-personalized", p, 2
+        ),
+        lower_bound=all_to_all_lower_bound,
+        tight=lambda params: is_tight(params),
+        sample_cases=(
+            {"P": 8, "L": 6, "o": 2, "g": 4},
+            {"P": 5, "L": 2},
+            {"P": 2, "L": 1},
         ),
     ),
     CollectiveSpec(

@@ -11,11 +11,12 @@ CLI: ``python -m repro.cli report --P 32 --L 12 --o 1 --g 2``.
 
 from __future__ import annotations
 
+from repro import registry
 from repro.baselines.summation import binary_reduction_capacity
 from repro.baselines.trees import baseline_broadcast
-from repro.comm import Communicator
 from repro.core.all_to_all import all_to_all_time, is_tight
-from repro.core.fib import broadcast_time, broadcast_time_postal, k_star
+from repro.core.combining import allreduce_time
+from repro.core.fib import broadcast_time, k_star
 from repro.core.kitem.bounds import kitem_upper_bound, single_sending_lower_bound
 from repro.core.kitem.single_sending import completion, single_sending_schedule
 from repro.core.summation.capacity import min_summation_time, summation_capacity
@@ -81,19 +82,16 @@ def kitem_lower_bound_cached(P: int, L: int, k: int) -> int:
 
 
 def _collectives_section(machine: LogPParams) -> list[str]:
-    comm = Communicator(machine)
+    reduce = registry.completion(registry.plan("reduction", machine))
     lines = [
         "## Other collectives (Sections 4-5)",
         "",
-        f"* **Reduce** (time-reversed broadcast): "
-        f"{comm.reduce().cycles} cycles",
+        f"* **Reduce** (time-reversed broadcast): {reduce} cycles",
     ]
     postal_view = machine.to_postal()
-    allreduce = Communicator(postal_view).allreduce()
-    algo = allreduce.meta.get("algorithm")
+    cycles, algo = allreduce_time(postal_view)
     lines.append(
-        f"* **All-reduce** (postal view): {allreduce.cycles} steps via "
-        f"{algo}"
+        f"* **All-reduce** (postal view): {cycles} steps via {algo}"
         + (
             " — *same cost as a plain reduction* (Theorem 4.1)"
             if algo == "combining"

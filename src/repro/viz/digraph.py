@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["render_digraph"]
 

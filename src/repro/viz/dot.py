@@ -10,9 +10,12 @@ these with ``dot -Tpng``:
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.tree import BroadcastTree
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["tree_to_dot", "digraph_to_dot", "automaton_to_dot"]
 

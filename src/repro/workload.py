@@ -17,11 +17,10 @@ cycles between collectives; overlaps nothing by assumption).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
+from repro import registry
 from repro.baselines.trees import baseline_broadcast
-from repro.comm import Communicator
-from repro.core.fib import broadcast_time
+from repro.core.combining import allreduce_time
 from repro.params import LogPParams
 from repro.schedule.analysis import broadcast_delay_per_proc
 
@@ -102,36 +101,35 @@ def plan_workload(trace: WorkloadTrace) -> WorkloadReport:
     binomial bcast/reduce, reduce+bcast allreduce, the same cyclic
     alltoall (it is hard to do worse), flat scatter/gather.
     """
-    comm = Communicator(trace.params)
-    bino = _baseline_bcast_cycles(trace.params)
+    params = trace.params
+    bino = _baseline_bcast_cycles(params)
+
+    def optimal_cycles(name: str, **extra: int) -> int:
+        return registry.completion(registry.plan(name, params, **extra))
+
     rows: list[dict] = []
     opt_total = 0
     base_total = 0
     for op in trace.ops:
         if op.kind == "bcast":
-            optimal = comm.bcast().cycles
+            optimal = optimal_cycles("broadcast")
             baseline = bino
         elif op.kind == "kitem_bcast":
-            optimal = comm.kitem_bcast(max(op.arg, 1)).cycles
+            optimal = optimal_cycles("kitem", k=max(op.arg, 1))
             baseline = max(op.arg, 1) * bino  # repeated binomial broadcasts
         elif op.kind == "reduce":
-            optimal = comm.reduce().cycles
+            optimal = optimal_cycles("reduction")
             baseline = bino
-        elif op.kind == "allreduce":
-            optimal = comm.allreduce().cycles
-            baseline = 2 * bino
-        elif op.kind == "barrier":
-            optimal = comm.allreduce().cycles
+        elif op.kind in ("allreduce", "barrier"):
+            optimal, _ = allreduce_time(params)
             baseline = 2 * bino
         elif op.kind == "allgather":
-            optimal = comm.allgather().cycles
-            baseline = comm.allgather().cycles  # already the classic ring
+            # the cyclic schedule is already the classic ring
+            optimal = baseline = optimal_cycles("all-to-all")
         elif op.kind == "alltoall":
-            optimal = comm.alltoall().cycles
-            baseline = comm.alltoall().cycles
+            optimal = baseline = optimal_cycles("all-to-all-personalized")
         elif op.kind in ("scatter", "gather"):
-            optimal = comm.scatter().cycles
-            baseline = comm.scatter().cycles
+            optimal = baseline = optimal_cycles(op.kind)
         elif op.kind == "compute":
             optimal = baseline = op.arg
         else:

@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestParser:
@@ -12,55 +19,90 @@ class TestParser:
 
     def test_machine_args(self):
         args = build_parser().parse_args(
-            ["plan-bcast", "--P", "8", "--L", "6", "--o", "2", "--g", "4"]
+            ["plan", "broadcast", "--P", "8", "--L", "6", "--o", "2", "--g", "4"]
         )
         assert (args.P, args.L, args.o, args.g) == (8, 6, 2, 4)
 
-    def test_sum_requires_n_or_t(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["plan-sum", "--P", "4", "--L", "2"])
+    def test_sum_requires_n_or_t(self, capsys):
+        assert main(["plan", "summation", "--P", "4", "--L", "2"]) == 2
+        assert "exactly one of n=" in capsys.readouterr().err
 
 
 class TestCommands:
     def test_plan_bcast(self, capsys):
-        assert main(["plan-bcast", "--P", "8", "--L", "6", "--o", "2", "--g", "4"]) == 0
+        fig1 = ["--P", "8", "--L", "6", "--o", "2", "--g", "4"]
+        assert main(["plan", "broadcast", *fig1]) == 0
+        assert "completes in 24 cycles" in capsys.readouterr().out
+        # the classic-shape comparison lives in the machine report
+        assert main(["report", *fig1]) == 0
         out = capsys.readouterr().out
         assert "B(P) = 24" in out
-        assert "binomial" in out
+        assert "| binomial |" in out
 
     def test_plan_bcast_tree_and_timeline(self, capsys):
-        main(["plan-bcast", "--P", "4", "--L", "2", "--show-tree", "--timeline"])
-        out = capsys.readouterr().out
-        assert "P0 @0" in out  # tree
-        assert "P0 " in out    # timeline rows
+        main(["report", "--P", "4", "--L", "2"])
+        assert "P0 @0" in capsys.readouterr().out  # tree
+        main(["plan", "broadcast", "--P", "4", "--L", "2", "--timeline"])
+        assert "P0 " in capsys.readouterr().out  # timeline rows
 
     def test_plan_kitem(self, capsys):
-        assert main(["plan-kitem", "--P", "10", "--L", "3", "--k", "8"]) == 0
+        assert main(["plan", "kitem", "--P", "10", "--L", "3", "--k", "8"]) == 0
         out = capsys.readouterr().out
-        assert "completion:             17" in out
-        assert "lower bound:    15" in out
+        assert "completes in 17 cycles" in out
+        assert "lower bound of 15" in out
 
     def test_plan_kitem_table(self, capsys):
-        main(["plan-kitem", "--P", "5", "--L", "2", "--k", "3", "--table"])
+        main(["plan", "kitem", "--P", "5", "--L", "2", "--k", "3", "--timeline"])
         out = capsys.readouterr().out
-        assert "time" in out
+        assert "completes in 8 cycles" in out
+        assert "P4 " in out  # one timeline row per rank
 
     def test_plan_sum_by_n(self, capsys):
         assert main([
-            "plan-sum", "--P", "8", "--L", "5", "--o", "2", "--g", "4", "--n", "79",
+            "plan", "summation",
+            "--P", "8", "--L", "5", "--o", "2", "--g", "4", "--n", "79",
         ]) == 0
         out = capsys.readouterr().out
-        assert "t = 28 cycles" in out
+        assert "completes in 28 cycles" in out
 
     def test_plan_sum_by_t(self, capsys):
-        main(["plan-sum", "--P", "4", "--L", "2", "--t", "10"])
+        main(["plan", "summation", "--P", "4", "--L", "2", "--t", "10"])
         out = capsys.readouterr().out
-        assert "operands" in out
+        assert "(t=10)" in out
+        assert "completes in 10 cycles" in out
+
+    def test_plan_sum_g_equal_o_is_a_usage_error(self, capsys):
+        argv = ["--P", "8", "--L", "3", "--o", "2", "--g", "2", "--n", "40"]
+        assert main(["plan", "summation", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: summation: ")
+        assert "assumes g > o" in err
+        assert err.count("\n") == 1
 
     def test_plan_allreduce(self, capsys):
-        assert main(["plan-allreduce", "--P", "9", "--L", "3"]) == 0
+        assert main(["plan", "allreduce", "--P", "9", "--L", "3"]) == 0
         out = capsys.readouterr().out
-        assert "T = 7" in out
+        assert "completes in 7 cycles" in out
+        assert "planned on" not in out  # 9 = P(7) is a natural size
+
+    def test_plan_allreduce_names_the_rounded_machine(self, capsys):
+        assert main(["plan", "allreduce", "--P", "7", "--L", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "planned on P(T) = 9 processors, rounded up from P = 7" in out
+        assert "matches the Thm 4.1 lower bound of 7" in out
+
+    def test_plan_sum_names_the_participating_subset(self, capsys):
+        argv = ["--P", "8", "--L", "5", "--o", "2", "--g", "4", "--n", "5"]
+        assert main(["plan", "summation", *argv]) == 0
+        # five operands sum fastest on one processor, with no sends
+        assert "planned on 1 of the P = 8 processors" in capsys.readouterr().out
+
+    def test_import_does_not_load_networkx(self):
+        # networkx is only needed for the graph exports; the CLI's cold
+        # start must not pay for it
+        code = "import repro.cli, sys; assert 'networkx' not in sys.modules"
+        env = dict(os.environ, PYTHONPATH=SRC)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_figures_single(self, capsys):
         assert main(["figures", "--only", "1"]) == 0

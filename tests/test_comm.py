@@ -1,10 +1,10 @@
-"""Tests for the high-level Communicator / VirtualCluster API."""
-
-import operator
+"""Tests for the collective plans and the VirtualCluster front end."""
 
 import pytest
 
-from repro.comm import Communicator, VirtualCluster
+from repro import registry
+from repro.comm import VirtualCluster
+from repro.core.combining import allreduce_time
 from repro.core.fib import broadcast_time, broadcast_time_postal
 from repro.params import LogPParams, postal
 
@@ -12,59 +12,56 @@ FIG1 = LogPParams(P=8, L=6, o=2, g=4)
 
 
 class TestCommunicatorPlans:
+    """The plans behind the MPI vocabulary, built through registry.plan."""
+
     def test_bcast_cycles(self):
-        comm = Communicator(FIG1)
-        assert comm.bcast().cycles == 24
+        assert registry.completion(registry.plan("broadcast", FIG1)) == 24
 
     def test_bcast_rooted(self):
-        comm = Communicator(postal(P=6, L=2))
-        plan = comm.bcast(root=4)
+        plan = VirtualCluster(postal(P=6, L=2))._plan("broadcast", root=4)
         # processor 4 never receives; everyone else exactly once
-        receivers = sorted(op.dst for op in plan.schedule.sends)
+        receivers = sorted(op.dst for op in plan.sends)
         assert receivers == [0, 1, 2, 3, 5]
 
     def test_bcast_root_out_of_range(self):
-        with pytest.raises(ValueError):
-            Communicator(FIG1).bcast(root=8)
-
-    def test_plans_cached(self):
-        comm = Communicator(FIG1)
-        assert comm.bcast() is comm.bcast()
-        assert comm.bcast(1) is not comm.bcast(2)
+        with pytest.raises(ValueError, match="root 8 out of range"):
+            VirtualCluster(FIG1).bcast("x", root=8)
 
     def test_kitem_requires_postal(self):
-        with pytest.raises(ValueError):
-            Communicator(FIG1).kitem_bcast(4)
+        with pytest.raises(ValueError, match="requires the postal"):
+            registry.plan("kitem", FIG1, k=4)
 
     def test_kitem_cycles(self):
-        comm = Communicator(postal(P=10, L=3))
-        plan = comm.kitem_bcast(8)
-        assert plan.cycles == 17
+        plan = registry.plan("kitem", postal(P=10, L=3), k=8)
+        assert registry.completion(plan) == 17
 
     def test_scatter_gather_symmetric(self):
-        comm = Communicator(FIG1)
-        assert comm.scatter().cycles == comm.gather().cycles
+        scatter = registry.completion(registry.plan("scatter", FIG1))
+        assert scatter == registry.completion(registry.plan("gather", FIG1))
+        assert scatter == FIG1.send_cost + (FIG1.P - 2) * FIG1.g
 
     def test_reduce_matches_bcast(self):
-        comm = Communicator(FIG1)
-        assert comm.reduce().cycles == comm.bcast().cycles == 24
+        reduce = registry.completion(registry.plan("reduction", FIG1))
+        assert reduce == registry.completion(registry.plan("broadcast", FIG1))
+        assert reduce == 24
 
     def test_allreduce_combining_when_sized(self):
-        comm = Communicator(postal(P=9, L=3))  # 9 = f_7 for L=3
-        plan = comm.allreduce()
-        assert plan.meta["algorithm"] == "combining"
-        assert plan.cycles == 7
+        params = postal(P=9, L=3)  # 9 = f_7 for L=3
+        assert allreduce_time(params) == (7, "combining")
+        assert registry.completion(registry.plan("allreduce", params)) == 7
 
     def test_allreduce_fallback(self):
-        comm = Communicator(postal(P=7, L=3))  # 7 is not a P(T) value
-        plan = comm.allreduce()
-        assert plan.meta["algorithm"] == "reduce+bcast"
-        assert plan.cycles == 2 * broadcast_time_postal(7, 3)
+        params = postal(P=7, L=3)  # 7 is not a P(T) value
+        assert allreduce_time(params) == (
+            2 * broadcast_time_postal(7, 3),
+            "reduce+bcast",
+        )
 
     def test_allgather_alltoall(self):
-        comm = Communicator(postal(P=5, L=2))
-        assert comm.allgather().cycles == 2 + 3  # L + (P-2)g
-        assert comm.alltoall().cycles == 2 + 3
+        params = postal(P=5, L=2)
+        for name in ("all-to-all", "all-to-all-personalized"):
+            plan = registry.plan(name, params)
+            assert registry.completion(plan) == 2 + 3  # L + (P-2)g
 
 
 class TestVirtualClusterData:
@@ -133,28 +130,3 @@ class TestVirtualClusterData:
         cluster = VirtualCluster(postal(P=9, L=3))
         results, _ = cluster.allreduce([2, 9, 4, 7, 1, 8, 3, 5, 6], op=max)
         assert results == [9] * 9
-
-
-class TestSubCommunicators:
-    def test_subset_bcast_embeds(self):
-        from repro.comm import embed_plan
-
-        parent = Communicator(postal(P=12, L=3))
-        sub, mapping = parent.subset([2, 5, 7, 9, 11])
-        assert sub.params.P == 5
-        plan = sub.bcast(root=0)
-        lifted = embed_plan(plan, mapping, params=parent.params)
-        # all traffic stays within the chosen physical ranks
-        used = {op.src for op in lifted.sends} | {op.dst for op in lifted.sends}
-        assert used <= {2, 5, 7, 9, 11}
-        # the sub-root is physical rank 2
-        assert all(op.src == 2 or op.src in used for op in lifted.sends)
-
-    def test_subset_deduplicates_and_validates(self):
-        parent = Communicator(postal(P=6, L=2))
-        sub, mapping = parent.subset([1, 1, 3])
-        assert sub.params.P == 2 and mapping == {0: 1, 1: 3}
-        with pytest.raises(ValueError):
-            parent.subset([99])
-        with pytest.raises(ValueError):
-            parent.subset([])

@@ -40,6 +40,7 @@ OBJECTS_ORACLES = {
         optimal_tree(params)
     ),
     "all-to-all": oracle_builders.all_to_all_schedule,
+    "all-to-all-personalized": oracle_builders.all_to_all_personalized_schedule,
 }
 
 
@@ -73,6 +74,9 @@ class TestEverySpec:
             "summation",
             "allreduce",
             "reduction",
+            "scatter",
+            "gather",
+            "all-to-all-personalized",
             "hier-bcast",
             "hier-reduce",
         )
@@ -180,6 +184,12 @@ class TestDomainErrors:
             registry.plan("summation", P=4, L=2, n=10, t=9)
         with pytest.raises(ValueError, match="exactly one"):
             registry.plan("summation", P=4, L=2)
+
+    def test_summation_rejects_overlapping_merges_when_g_equals_o(self):
+        # node 0 merges several children; with g <= o their o+1-cycle
+        # merge windows overlap and Lemma 5.1's cycle count fails
+        with pytest.raises(ValueError, match=r"^summation: .*assumes g > o"):
+            registry.plan("summation", P=8, L=3, o=2, g=2, n=40)
 
     def test_continuous_rejects_unreachable_P(self):
         with pytest.raises(ValueError, match=r"nearest valid P is 15"):
